@@ -7,6 +7,7 @@
 //! data, single thread by default): the numbers are for *trajectory*
 //! comparisons on one machine, not cross-machine claims.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use sapla_baselines::{reduce_batch, SaplaReducer};
@@ -430,6 +431,9 @@ pub fn run(grid: &PerfGrid) -> PerfReport {
 /// tree insertion); the load side repeats `Engine::from_snapshot_file`
 /// against a file written once per point and deleted afterwards.
 fn measure_cold_start(grid: &PerfGrid) -> Vec<ColdStartPoint> {
+    // One file per call: concurrent `run`s in one process (parallel
+    // tests) must not write, load or delete each other's snapshot.
+    static NEXT_FILE: AtomicUsize = AtomicUsize::new(0);
     let Some(&n) = grid.lens.iter().find(|&&n| n >= 2 * grid.segment_counts[0]) else {
         return Vec::new();
     };
@@ -440,8 +444,11 @@ fn measure_cold_start(grid: &PerfGrid) -> Vec<ColdStartPoint> {
         let db = grid_series(n, db_size);
         let engine = Engine::build(cfg, Box::new(SaplaReducer::new()), db.clone(), grid.threads)
             .expect("cold start reference build");
-        let path = std::env::temp_dir()
-            .join(format!("sapla-cold-start-{}-{db_size}.snap", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "sapla-cold-start-{}-{}-{db_size}.snap",
+            std::process::id(),
+            NEXT_FILE.fetch_add(1, Ordering::Relaxed)
+        ));
         let file_bytes = engine.write_snapshot_file(&path, None).expect("cold start snapshot");
         let (_, build_ns) = measure(grid.min_time, || {
             let built = Engine::build(cfg, Box::new(SaplaReducer::new()), db.clone(), grid.threads)

@@ -10,12 +10,9 @@
 //! (`Dist_PAR` for adaptive methods), which is what fixes the APCA-MBR
 //! overlap problem.
 
-use std::cmp::Reverse;
+use sapla_core::{Representation, Result, TimeSeries};
 
-use sapla_core::{OrdF64, Representation, Result, TimeSeries};
-use sapla_distance::{euclidean_early_abandon, safe_sq_bound};
-
-use crate::knn::{HullMemo, KnnScratch, SearchStats, SearchTally};
+use crate::knn::{HullMemo, SearchStats};
 use crate::scheme::{Query, Scheme};
 use crate::soa::LeafBlock;
 use crate::stats::TreeShape;
@@ -202,94 +199,7 @@ impl DbchTree {
         scheme: &dyn Scheme,
         raws: &[TimeSeries],
     ) -> Result<SearchStats> {
-        debug_assert_eq!(raws.len(), self.reps.len());
-        let mut hits: Vec<(f64, usize)> = Vec::new();
-        let mut tally = SearchTally::default();
-        let mut dist_scratch = sapla_distance::ParScratch::default();
-        let mut memo = HullMemo::default();
-        let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-        // Quantized-lineage bounds can overshoot the true distance by up
-        // to `lb_slack`; widening the pruning cutoff keeps the search
-        // sound (exact hits are still gated on `exact <= epsilon`
-        // below). Exact trees have slack 0.0 — bitwise no-op.
-        let prune_at = epsilon + self.lb_slack;
-        if !self.is_empty() {
-            let mut stack = vec![self.root];
-            while let Some(nid) = stack.pop() {
-                if self.node_dist(q, scheme, nid, &mut dist_scratch, &mut memo)? > prune_at {
-                    tally.prune_node();
-                    continue;
-                }
-                tally.visit_node();
-                match &self.nodes[nid].kind {
-                    NodeKind::Internal(children) => stack.extend(children.iter().copied()),
-                    NodeKind::Leaf(entries) => {
-                        tally.consider(entries.len());
-                        let block = self
-                            .blocks
-                            .get(nid)
-                            .filter(|b| use_soa && b.is_ok() && b.num_entries() == entries.len());
-                        for (j, &e) in entries.iter().enumerate() {
-                            // Hull representatives were already fully
-                            // evaluated by `node_dist`; replaying the
-                            // memoised square is the identical decision
-                            // and value (see `HullMemo`).
-                            let kept = if let Some(kept) = memo.filter(e, prune_at) {
-                                sapla_obs::counter!("index.hull_memo.hits");
-                                kept
-                            } else {
-                                match block {
-                                    Some(b) => scheme.rep_dist_pruned_soa(
-                                        q,
-                                        b.entry(j)?,
-                                        prune_at,
-                                        &mut dist_scratch,
-                                    )?,
-                                    None => scheme.rep_dist_pruned(
-                                        q,
-                                        &self.reps[e],
-                                        prune_at,
-                                        &mut dist_scratch,
-                                    )?,
-                                }
-                            };
-                            if kept.is_some() {
-                                tally.measure();
-                                // Abandoned ⇒ exact > epsilon strictly:
-                                // not a hit, same as the full comparison.
-                                if let Some(exact) = euclidean_early_abandon(
-                                    &q.raw,
-                                    &raws[e],
-                                    safe_sq_bound(epsilon),
-                                )? {
-                                    #[cfg(feature = "strict-invariants")]
-                                    crate::scheme::assert_lb_le_exact(
-                                        q,
-                                        &self.reps[e],
-                                        exact,
-                                        self.lb_slack,
-                                    )?;
-                                    if exact <= epsilon {
-                                        hits.push((exact, e));
-                                    }
-                                }
-                            } else {
-                                tally.prune();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // (distance, id) — a strict total order, so multi-shard engines
-        // can merge per-shard hit lists deterministically.
-        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(SearchStats {
-            retrieved: hits.iter().map(|&(_, i)| i).collect(),
-            distances: hits.iter().map(|&(d, _)| d).collect(),
-            measured: tally.finish_range(),
-            total: self.reps.len(),
-        })
+        crate::batched::range_walk(self, q, epsilon, scheme, raws)
     }
 
     /// Remove entry `id` from the index (ids stay stable; underfull nodes
@@ -964,88 +874,7 @@ impl DbchTree {
         scheme: &dyn Scheme,
         raws: &[TimeSeries],
     ) -> Result<SearchStats> {
-        self.knn_with_scratch(q, k, scheme, raws, &mut KnnScratch::default())
-    }
-
-    /// [`DbchTree::knn`] reusing caller-owned buffers — same algorithm,
-    /// same results, no steady-state allocation. The parallel multi-query
-    /// engine ([`crate::parallel::knn_batch`]) holds one scratch per
-    /// worker; single-threaded callers looping over many queries benefit
-    /// the same way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates distance-computation failures.
-    pub fn knn_with_scratch(
-        &self,
-        q: &Query,
-        k: usize,
-        scheme: &dyn Scheme,
-        raws: &[TimeSeries],
-        scratch: &mut KnnScratch,
-    ) -> Result<SearchStats> {
-        debug_assert_eq!(raws.len(), self.reps.len());
-        scratch.reset(k);
-        let KnnScratch { results, nodes: heap, dist, hull } = scratch;
-        let mut tally = SearchTally::default();
-        if !self.is_empty() {
-            let d = self.node_dist(q, scheme, self.root, dist, hull)?;
-            heap.push(Reverse((OrdF64::new(d), self.root, 0)));
-        }
-        let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-        // Quantized-lineage node bounds can overshoot by up to
-        // `lb_slack`; widen every node-pruning comparison by it (slack
-        // is 0.0 on exact trees, so `t + 0.0` is bitwise `t`).
-        let slack = self.lb_slack;
-        while let Some(Reverse((d, nid, depth))) = heap.pop() {
-            if d.get() > results.threshold() + slack {
-                // Best-first order: the popped node *and* everything
-                // still queued behind it are beyond the threshold.
-                tally.prune_nodes(1 + heap.len());
-                break;
-            }
-            tally.visit_node();
-            match &self.nodes[nid].kind {
-                NodeKind::Internal(children) => {
-                    sapla_obs::lane_counter!("index.knn.fanout", depth, children.len() as u64);
-                    for &c in children {
-                        let node_d = self.node_dist(q, scheme, c, dist, hull)?;
-                        if node_d <= results.threshold() + slack {
-                            heap.push(Reverse((OrdF64::new(node_d), c, depth + 1)));
-                        } else {
-                            tally.prune_node();
-                        }
-                    }
-                }
-                NodeKind::Leaf(entries) => {
-                    let block = self
-                        .blocks
-                        .get(nid)
-                        .filter(|b| use_soa && b.is_ok() && b.num_entries() == entries.len());
-                    crate::batched::eval_leaf_entries(
-                        q,
-                        scheme,
-                        raws,
-                        &self.reps,
-                        entries,
-                        block,
-                        results,
-                        dist,
-                        hull,
-                        &mut tally,
-                        self.lb_slack,
-                    )?;
-                }
-            }
-        }
-        let (mut retrieved, mut distances) = (Vec::with_capacity(k), Vec::with_capacity(k));
-        results.drain_into(&mut retrieved, &mut distances);
-        Ok(SearchStats {
-            retrieved,
-            distances,
-            measured: tally.finish_knn(),
-            total: self.reps.len(),
-        })
+        crate::batched::knn_single(self, q, k, scheme, raws)
     }
 
     /// Structural statistics (Figs. 15–16).

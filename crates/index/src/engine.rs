@@ -6,7 +6,8 @@
 //! the [`Reducer`] that turns raw series into queries, the raw series
 //! (for exact refinement), and one or more index shards. Callers hand
 //! it raw query series (or pre-built [`Query`]s) and get back the same
-//! `(Vec<SearchStats>, BatchStats)` that [`knn_batch`] produces.
+//! `(Vec<SearchStats>, BatchStats)` that [`crate::parallel::knn_batch`]
+//! produces.
 //!
 //! # Sharding and determinism
 //!
@@ -20,13 +21,13 @@
 //! deterministic at every thread count.
 //!
 //! With `shards == 1` the engine is **bit-identical** to the
-//! single-tree [`knn_batch`] path (pinned by proptest). With more
-//! shards the answer can differ from a single tree — the paper's
-//! node-distance rule is conditional, not a sound lower bound, so
-//! *which* candidates a tree refines depends on tree structure. The
-//! shard count is therefore part of the index configuration, not a
-//! tuning knob to vary between runs (see DESIGN.md, "Service
-//! architecture").
+//! single-tree [`crate::parallel::knn_batch`] path (pinned by
+//! proptest). With more shards the answer can differ from a single
+//! tree — the paper's node-distance rule is conditional, not a sound
+//! lower bound, so *which* candidates a tree refines depends on tree
+//! structure. The shard count is therefore part of the index
+//! configuration, not a tuning knob to vary between runs (see
+//! DESIGN.md, "Service architecture").
 
 use std::sync::Arc;
 
@@ -38,7 +39,7 @@ use sapla_parallel::par_try_map_init;
 use crate::batched::{knn_query_major, BlockScratch};
 use crate::dbch::{DbchTree, NodeDistRule};
 use crate::knn::SearchStats;
-use crate::parallel::{knn_batch, prepare_queries, BatchStats};
+use crate::parallel::{prepare_queries, BatchStats};
 use crate::rtree::RTree;
 use crate::scheme::{scheme_for, Query, Scheme};
 
@@ -114,11 +115,18 @@ pub(crate) enum ShardIndex {
 }
 
 impl ShardIndex {
-    /// The shard's tree as the query-major driver's trait object.
-    fn as_batch_tree(&self) -> &dyn crate::batched::BatchTree {
+    /// One query block through the k-NN driver, monomorphised per tree.
+    fn knn(
+        &self,
+        queries: &[Query],
+        k: usize,
+        scheme: &dyn Scheme,
+        raws: &[TimeSeries],
+        scratch: &mut BlockScratch,
+    ) -> Result<Vec<SearchStats>> {
         match self {
-            ShardIndex::Dbch(t) => t,
-            ShardIndex::Rtree(t) => t,
+            ShardIndex::Dbch(t) => knn_query_major(t, queries, k, scheme, raws, scratch),
+            ShardIndex::Rtree(t) => knn_query_major(t, queries, k, scheme, raws, scratch),
         }
     }
 
@@ -312,7 +320,8 @@ impl Engine {
     /// query-major blocks ([`crate::batched`]), scatter every
     /// `(block, shard)` pair over up to `threads` workers, gather per
     /// query by `(distance, global id)`. With one shard this returns
-    /// bit-for-bit what [`knn_batch`] returns (see module docs).
+    /// bit-for-bit what [`crate::parallel::knn_batch`] returns (see module
+    /// docs).
     ///
     /// # Errors
     ///
@@ -325,22 +334,6 @@ impl Engine {
     ) -> Result<(Vec<SearchStats>, BatchStats)> {
         let _span = sapla_obs::span!("engine.knn");
         let n_shards = self.shards.len();
-        if n_shards == 1 {
-            if let (Some(shard), ShardIndex::Dbch(tree)) =
-                (self.shards.first(), &self.shards[0].index)
-            {
-                // Single DBCH shard: take the established batch path
-                // directly (same results as the scatter-gather below;
-                // skips the trivial merge).
-                let start_ns = sapla_obs::clock::now_ns();
-                let answer =
-                    knn_batch(tree, queries, k, self.scheme.as_ref(), &shard.raws, threads);
-                let dur = sapla_obs::clock::now_ns().saturating_sub(start_ns);
-                sapla_obs::windowed!("engine.shard.knn.ns", 0, dur);
-                let _ = dur;
-                return answer;
-            }
-        }
         let block = crate::batched::DEFAULT_QUERY_BLOCK;
         let blocks: Vec<&[Query]> = queries.chunks(block).collect();
         let tasks: Vec<(usize, usize)> =
@@ -349,14 +342,8 @@ impl Engine {
             par_try_map_init(&tasks, threads, BlockScratch::new, |scratch, _, &(bi, si)| {
                 let shard = &self.shards[si];
                 let start_ns = sapla_obs::clock::now_ns();
-                let stats = knn_query_major(
-                    shard.index.as_batch_tree(),
-                    blocks[bi],
-                    k,
-                    self.scheme.as_ref(),
-                    &shard.raws,
-                    scratch,
-                )?;
+                let stats =
+                    shard.index.knn(blocks[bi], k, self.scheme.as_ref(), &shard.raws, scratch)?;
                 // Per-shard execution time, windowed per shard lane so
                 // `OP_METRICS` can surface a slow shard's last-minute
                 // percentiles next to its lifetime totals.
@@ -557,7 +544,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::ingest_parallel;
+    use crate::parallel::{ingest_parallel, knn_batch};
+    use crate::reference;
     use sapla_baselines::SaplaReducer;
 
     fn dataset(n_series: usize, len: usize) -> Vec<TimeSeries> {
@@ -593,6 +581,10 @@ mod tests {
         let engine = engine_with(1, TreeKind::Dbch, &raws);
         let queries = engine.prepare(&raws[..10], 2).unwrap();
         let (want, want_batch) = knn_batch(&tree, &queries, 5, scheme.as_ref(), &raws, 2).unwrap();
+        for (w, q) in want.iter().zip(&queries) {
+            let seq = reference::knn(&tree, q, 5, scheme.as_ref(), &raws).unwrap();
+            reference::assert_same(w, &seq, "knn_batch vs the reference walk");
+        }
         for threads in [1usize, 2, 4, 7] {
             let (got, got_batch) = engine.knn(&queries, 5, threads).unwrap();
             assert_eq!(got, want, "threads = {threads}");
@@ -656,8 +648,8 @@ mod tests {
         let reps: Vec<_> = raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
         let tree = RTree::build(scheme.as_ref(), reps, 2, 5).unwrap();
         for (qi, q) in queries.iter().enumerate() {
-            let want = tree.knn(q, 3, scheme.as_ref(), &raws).unwrap();
-            assert_eq!(got[qi], want, "query {qi}");
+            let want = reference::knn(&tree, q, 3, scheme.as_ref(), &raws).unwrap();
+            reference::assert_same(&got[qi], &want, &format!("query {qi}"));
         }
     }
 
@@ -671,9 +663,9 @@ mod tests {
         let reps: Vec<_> = raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
         let tree = DbchTree::build(scheme.as_ref(), reps, 2, 5).unwrap();
         for q in &queries {
-            let want = tree.range(q, 4.0, scheme.as_ref(), &raws).unwrap();
+            let want = reference::range(&tree, q, 4.0, scheme.as_ref(), &raws).unwrap();
             let got = engine.range(q, 4.0).unwrap();
-            assert_eq!(got, want);
+            reference::assert_same(&got, &want, "one-shard range");
             assert!(!got.retrieved.is_empty(), "query itself is within epsilon");
         }
     }

@@ -1,5 +1,8 @@
-//! Shared k-NN search result types and metrics (Eq. 14 and Eq. 15 of the
-//! paper).
+//! Search result types and metrics (Eq. 14 and Eq. 15 of the paper),
+//! plus the per-query search state the traversals in `batched.rs` share:
+//! candidate accounting (`SearchTally`), the bounded k-NN heap
+//! (`KnnHeap`) and the hull-distance memo (`HullMemo`). There is one
+//! k-NN traversal and one ε-range traversal; both live in `batched.rs`.
 
 /// Outcome of one k-NN search through an index.
 #[derive(Debug, Clone, PartialEq)]
@@ -284,45 +287,6 @@ impl HullMemo {
             self.sq[id] = f64::NAN;
         }
         self.touched.clear();
-    }
-}
-
-/// Reusable per-search buffers for [`DbchTree::knn_with_scratch`]
-/// (`DbchTree` is in [`crate::dbch`]): the candidate heap, the best-first
-/// node queue, the `Dist_PAR` partition buffer, and the per-query
-/// [`HullMemo`]. One instance per
-/// worker turns steady-state k-NN into an allocation-free loop, which is
-/// what the parallel multi-query engine in [`crate::parallel`] relies on.
-///
-/// Reusing a scratch **never changes results**: both heaps are cleared
-/// at the start of every search, the partition buffer is cleared by
-/// every distance call, and the buffered `Dist_PAR` is bit-for-bit the
-/// streaming one.
-#[derive(Debug, Default)]
-pub struct KnnScratch {
-    pub(crate) results: KnnHeap,
-    // Best-first queue of (node distance, node id, node depth). Depth
-    // rides along purely for the per-level fanout lanes: node ids are
-    // unique in the queue, so comparisons never reach the depth field
-    // and the pop order is bit-identical to the (distance, id) queue.
-    pub(crate) nodes:
-        std::collections::BinaryHeap<std::cmp::Reverse<(sapla_core::OrdF64, usize, usize)>>,
-    pub(crate) dist: sapla_distance::ParScratch,
-    pub(crate) hull: HullMemo,
-}
-
-impl KnnScratch {
-    /// Fresh scratch (equivalent to `Default::default()`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clear all buffers and size the result heap for `k` neighbours.
-    pub(crate) fn reset(&mut self, k: usize) -> &mut Self {
-        self.results.reset(k);
-        self.nodes.clear();
-        self.hull.clear();
-        self
     }
 }
 

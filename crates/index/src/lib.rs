@@ -30,6 +30,8 @@ pub mod knn;
 pub mod linear_scan;
 pub mod parallel;
 pub mod rect;
+#[cfg(test)]
+mod reference;
 pub mod rtree;
 pub mod scheme;
 pub(crate) mod snapshot;
@@ -39,7 +41,7 @@ pub mod stats;
 pub use batched::DEFAULT_QUERY_BLOCK;
 pub use dbch::{DbchTree, NodeDistRule};
 pub use engine::{Engine, EngineConfig, TreeKind};
-pub use knn::{KnnScratch, SearchStats};
+pub use knn::SearchStats;
 pub use linear_scan::{
     filtered_scan_knn, filtered_scan_knn_batch, linear_scan_knn, linear_scan_range,
 };

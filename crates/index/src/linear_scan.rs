@@ -184,7 +184,9 @@ pub fn linear_scan_range(
     tally.consider(raws.len());
     for (i, s) in raws.iter().enumerate() {
         tally.measure();
-        if let Some(d) = euclidean_early_abandon(query, s, epsilon * epsilon)? {
+        // Abandon at `safe_sq_bound(ε)`, not `ε·ε`: the rounded square
+        // can sit below the true one, which would drop a hit at d = ε.
+        if let Some(d) = euclidean_early_abandon(query, s, safe_sq_bound(epsilon))? {
             if d <= epsilon {
                 hits.push((d, i));
             }
@@ -246,6 +248,19 @@ mod tests {
             assert_eq!(got.retrieved.contains(&i), d <= 1.5, "series {i} at {d}");
         }
         assert!(got.distances.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn range_scan_keeps_the_hit_at_exactly_epsilon() {
+        // d = √3 = ε, but ε·ε rounds to 2.9999999999999996 < 3: abandoning
+        // at the rounded square would drop this hit.
+        let q = TimeSeries::new(vec![0.0, 0.0, 0.0]).unwrap();
+        let s = TimeSeries::new(vec![1.0, 1.0, 1.0]).unwrap();
+        let epsilon = 3f64.sqrt();
+        assert!(q.euclidean(&s).unwrap() <= epsilon);
+        let got = linear_scan_range(&q, &[s], epsilon).unwrap();
+        assert_eq!(got.retrieved, vec![0]);
+        assert_eq!(got.distances, vec![epsilon]);
     }
 
     #[test]

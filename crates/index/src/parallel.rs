@@ -10,13 +10,15 @@
 //!   structurally identical to the sequential one.
 //! * **Multi-query k-NN** — each search only reads the tree, so
 //!   [`knn_batch`] chunks queries into contiguous blocks and fans the
-//!   blocks out across workers; each block runs through the query-major
-//!   co-scheduled driver ([`crate::batched`]), which evaluates every
-//!   query that reaches a leaf in the same round back-to-back while the
-//!   leaf's SoA block is cache-hot. Every worker owns the block driver's
-//!   scratch (per-query [`crate::knn::KnnScratch`]es, pending pairs)
-//!   created once and reused for all its blocks, and batch-wide counters
-//!   aggregate lock-free over atomics while the searches run.
+//!   blocks out across workers; each block runs through the one k-NN
+//!   driver, the query-major co-scheduled one in `batched.rs` (which
+//!   [`DbchTree::knn`] also calls, with a block of one). It evaluates
+//!   every query that reaches a leaf in the same round back-to-back
+//!   while the leaf's SoA block is cache-hot. Every worker owns the
+//!   driver's block scratch (per-query heaps, frontiers and memos,
+//!   pending pairs) created once and reused for all its blocks, and
+//!   batch-wide counters aggregate lock-free over atomics while the
+//!   searches run.
 //!
 //! Both paths return **bit-for-bit** the sequential results for any
 //! thread count: output order is input order, scratch reuse does not
@@ -112,7 +114,7 @@ pub fn prepare_queries(
 /// what a sequential [`DbchTree::knn`] loop returns — searches are
 /// read-only, per-worker scratch reuse does not perturb distances, and
 /// the query-major co-scheduling only reorders *which query runs next*,
-/// never a query's own operation sequence (see [`crate::batched`]). The
+/// never a query's own operation sequence (see `batched.rs`). The
 /// returned [`BatchStats`] is aggregated lock-free while the batch runs
 /// and always equals the sum over the per-query stats.
 ///
@@ -171,7 +173,7 @@ pub fn knn_batch_with_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::KnnScratch;
+    use crate::reference;
     use crate::scheme::scheme_for;
     use sapla_baselines::SaplaReducer;
     use sapla_core::Error;
@@ -233,8 +235,10 @@ mod tests {
             ingest_parallel(scheme.as_ref(), &reducer, &raws, 12, 2, 5, NodeDistRule::Paper, 4)
                 .unwrap();
         let queries = prepare_queries(&raws[..12], &reducer, 12, 4).unwrap();
-        let sequential: Vec<SearchStats> =
-            queries.iter().map(|q| tree.knn(q, 5, scheme.as_ref(), &raws).unwrap()).collect();
+        let sequential: Vec<SearchStats> = queries
+            .iter()
+            .map(|q| reference::knn(&tree, q, 5, scheme.as_ref(), &raws).unwrap())
+            .collect();
         for threads in [1usize, 2, 4, 7] {
             let (per_query, batch) =
                 knn_batch(&tree, &queries, 5, scheme.as_ref(), &raws, threads).unwrap();
@@ -265,8 +269,10 @@ mod tests {
             ingest_parallel(scheme.as_ref(), &reducer, &raws, 12, 2, 5, NodeDistRule::Paper, 2)
                 .unwrap();
         let queries = prepare_queries(&raws[..17], &reducer, 12, 2).unwrap();
-        let sequential: Vec<SearchStats> =
-            queries.iter().map(|q| tree.knn(q, 5, scheme.as_ref(), &raws).unwrap()).collect();
+        let sequential: Vec<SearchStats> = queries
+            .iter()
+            .map(|q| reference::knn(&tree, q, 5, scheme.as_ref(), &raws).unwrap())
+            .collect();
         for block in [1usize, 4, 16, 64] {
             for threads in [1usize, 2, 4, 7] {
                 let (per_query, _) = knn_batch_with_block(
@@ -297,12 +303,17 @@ mod tests {
         let tree =
             ingest_parallel(scheme.as_ref(), &reducer, &raws, 12, 2, 5, NodeDistRule::Paper, 0)
                 .unwrap();
-        let mut reused = KnnScratch::new();
+        // One block scratch carried across blocks of varying size and k.
+        let mut reused = BlockScratch::new();
         for qi in 0..10 {
-            let q = Query::new(&raws[qi], &reducer, 12).unwrap();
-            let fresh = tree.knn(&q, 4, scheme.as_ref(), &raws).unwrap();
-            let warm = tree.knn_with_scratch(&q, 4, scheme.as_ref(), &raws, &mut reused).unwrap();
-            assert_eq!(fresh, warm, "query {qi}");
+            let queries = prepare_queries(&raws[qi..qi + 1 + qi % 3], &reducer, 12, 1).unwrap();
+            let k = 2 + qi % 4;
+            let warm =
+                knn_query_major(&tree, &queries, k, scheme.as_ref(), &raws, &mut reused).unwrap();
+            for (w, q) in warm.iter().zip(&queries) {
+                let fresh = reference::knn(&tree, q, k, scheme.as_ref(), &raws).unwrap();
+                reference::assert_same(w, &fresh, &format!("query {qi}"));
+            }
         }
     }
 

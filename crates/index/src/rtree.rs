@@ -7,12 +7,9 @@
 //! entries with the scheme's representation distance, and survivors are
 //! refined against the raw series.
 
-use std::cmp::Reverse;
+use sapla_core::{Representation, Result, TimeSeries};
 
-use sapla_core::{OrdF64, Representation, Result, TimeSeries};
-use sapla_distance::{euclidean_early_abandon, safe_sq_bound};
-
-use crate::knn::{KnnScratch, SearchStats, SearchTally};
+use crate::knn::SearchStats;
 use crate::rect::HyperRect;
 use crate::scheme::{Query, Scheme};
 use crate::soa::LeafBlock;
@@ -250,79 +247,7 @@ impl RTree {
         scheme: &dyn Scheme,
         raws: &[TimeSeries],
     ) -> Result<SearchStats> {
-        debug_assert_eq!(raws.len(), self.reps.len());
-        let mut hits: Vec<(f64, usize)> = Vec::new();
-        let mut tally = SearchTally::default();
-        let mut dist_scratch = sapla_distance::ParScratch::default();
-        let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-        if !self.is_empty() {
-            let mut stack = vec![self.root];
-            while let Some(nid) = stack.pop() {
-                if scheme.mindist(q, &self.nodes[nid].rect)? > epsilon {
-                    tally.prune_node();
-                    continue;
-                }
-                tally.visit_node();
-                match &self.nodes[nid].kind {
-                    NodeKind::Internal(children) => stack.extend(children.iter().copied()),
-                    NodeKind::Leaf(entries) => {
-                        tally.consider(entries.len());
-                        let block = self
-                            .blocks
-                            .get(nid)
-                            .filter(|b| use_soa && b.is_ok() && b.num_entries() == entries.len());
-                        for (j, &e) in entries.iter().enumerate() {
-                            let kept = match block {
-                                Some(b) => scheme.rep_dist_pruned_soa(
-                                    q,
-                                    b.entry(j)?,
-                                    epsilon,
-                                    &mut dist_scratch,
-                                )?,
-                                None => scheme.rep_dist_pruned(
-                                    q,
-                                    &self.reps[e],
-                                    epsilon,
-                                    &mut dist_scratch,
-                                )?,
-                            };
-                            if kept.is_some() {
-                                tally.measure();
-                                // Abandoned ⇒ exact > epsilon strictly:
-                                // not a hit, same as the full comparison.
-                                if let Some(exact) = euclidean_early_abandon(
-                                    &q.raw,
-                                    &raws[e],
-                                    safe_sq_bound(epsilon),
-                                )? {
-                                    #[cfg(feature = "strict-invariants")]
-                                    crate::scheme::assert_lb_le_exact(
-                                        q,
-                                        &self.reps[e],
-                                        exact,
-                                        0.0,
-                                    )?;
-                                    if exact <= epsilon {
-                                        hits.push((exact, e));
-                                    }
-                                }
-                            } else {
-                                tally.prune();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // (distance, id) — a strict total order, so multi-shard engines
-        // can merge per-shard hit lists deterministically.
-        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(SearchStats {
-            retrieved: hits.iter().map(|&(_, i)| i).collect(),
-            distances: hits.iter().map(|&(d, _)| d).collect(),
-            measured: tally.finish_range(),
-            total: self.reps.len(),
-        })
+        crate::batched::range_walk(self, q, epsilon, scheme, raws)
     }
 
     /// Remove entry `id` from the index (its slot in the id space is
@@ -755,72 +680,7 @@ impl RTree {
         scheme: &dyn Scheme,
         raws: &[TimeSeries],
     ) -> Result<SearchStats> {
-        self.knn_with_scratch(q, k, scheme, raws, &mut KnnScratch::new())
-    }
-
-    /// [`RTree::knn`] with caller-owned scratch buffers, making
-    /// steady-state search allocation-free. Results are identical to
-    /// [`RTree::knn`] whatever the scratch's history — every buffer is
-    /// cleared on entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates distance-computation failures.
-    pub fn knn_with_scratch(
-        &self,
-        q: &Query,
-        k: usize,
-        scheme: &dyn Scheme,
-        raws: &[TimeSeries],
-        scratch: &mut KnnScratch,
-    ) -> Result<SearchStats> {
-        debug_assert_eq!(raws.len(), self.reps.len());
-        scratch.reset(k);
-        let KnnScratch { results, nodes: heap, dist, hull } = scratch;
-        let mut tally = SearchTally::default();
-        let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-        if !self.is_empty() {
-            let d = scheme.mindist(q, &self.nodes[self.root].rect)?;
-            heap.push(Reverse((OrdF64::new(d), self.root, 0)));
-        }
-        while let Some(Reverse((d, nid, depth))) = heap.pop() {
-            if d.get() > results.threshold() {
-                // Best-first order: the popped node *and* everything
-                // still queued behind it are beyond the threshold.
-                tally.prune_nodes(1 + heap.len());
-                break;
-            }
-            tally.visit_node();
-            match &self.nodes[nid].kind {
-                NodeKind::Internal(children) => {
-                    for &c in children {
-                        let d_child = scheme.mindist(q, &self.nodes[c].rect)?;
-                        if d_child <= results.threshold() {
-                            heap.push(Reverse((OrdF64::new(d_child), c, depth + 1)));
-                        } else {
-                            tally.prune_node();
-                        }
-                    }
-                }
-                NodeKind::Leaf(entries) => {
-                    let block = self
-                        .blocks
-                        .get(nid)
-                        .filter(|b| use_soa && b.is_ok() && b.num_entries() == entries.len());
-                    crate::batched::eval_leaf_entries(
-                        q, scheme, raws, &self.reps, entries, block, results, dist, hull,
-                        &mut tally, 0.0,
-                    )?;
-                }
-            }
-        }
-        let (retrieved, distances) = results.drain_sorted();
-        Ok(SearchStats {
-            retrieved,
-            distances,
-            measured: tally.finish_knn(),
-            total: self.reps.len(),
-        })
+        crate::batched::knn_single(self, q, k, scheme, raws)
     }
 
     /// Structural statistics (Figs. 15–16).

@@ -20,7 +20,7 @@
 
 use sapla_baselines::{Reducer, SaplaReducer};
 use sapla_core::{Representation, TimeSeries};
-use sapla_index::{scheme_for, DbchTree, KnnScratch, Query, Scheme};
+use sapla_index::{scheme_for, DbchTree, Query, Scheme};
 
 const LEN: usize = 64;
 const M: usize = 12;
@@ -77,11 +77,10 @@ fn assert_matches_rebuild(
     assert_eq!(tree.entry_ids(), live_sorted);
 
     let k = live_sorted.len();
-    let mut scratch = KnnScratch::new();
     let probes = [series(3, LEN), series(1_000_003, LEN), series(7_777, LEN)];
     for (pi, probe) in probes.iter().enumerate() {
         let q = Query::new(probe, reducer, M).unwrap();
-        let churned = tree.knn_with_scratch(&q, k, scheme, raws, &mut scratch).unwrap();
+        let churned = tree.knn(&q, k, scheme, raws).unwrap();
         let rebuilt = fresh.knn(&q, k, scheme, &fresh_raws).unwrap();
         assert_eq!(churned.retrieved.len(), k, "probe {pi}: full enumeration");
         let mapped: Vec<usize> = rebuilt.retrieved.iter().map(|&j| live_sorted[j]).collect();

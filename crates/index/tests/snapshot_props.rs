@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sapla_core::TimeSeries;
-use sapla_index::{Engine, EngineConfig, NodeDistRule, TreeKind};
+use sapla_index::{linear_scan_range, Engine, EngineConfig, NodeDistRule, TreeKind};
 
 /// Random small database of regime-style series.
 fn db_strategy(n_series: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TimeSeries>> {
@@ -147,6 +147,43 @@ proptest! {
                 let exact = raws[qi].euclidean(&raws[id]).unwrap();
                 prop_assert!((exact - d).abs() < 1e-9);
             }
+        }
+    }
+
+    /// The ε-range counterpart of the test above: with the same
+    /// unconditional pipeline, a quantized-loaded engine's range answer
+    /// must equal a linear scan's exactly (ids and distance bits), at
+    /// every shard count. ε is set to the exact distance of the
+    /// `rank`-th nearest series, so a true hit sits on the boundary,
+    /// where a quantized bound that overshoots would dismiss it unless
+    /// the pruning is widened by `lb_slack`.
+    #[test]
+    fn quantized_snapshot_range_matches_linear_scan_ground_truth(
+        raws in db_strategy(8..24),
+        shards in 1usize..4,
+        rank in 1usize..6,
+        step in 1e-3f64..2e-1,
+    ) {
+        let cfg =
+            EngineConfig { shards, rule: NodeDistRule::Triangle, ..EngineConfig::default() };
+        let built =
+            Engine::build(cfg, Box::new(sapla_baselines::Pla::new()), raws.to_vec(), 2).unwrap();
+        let loaded =
+            Engine::from_snapshot_image(&built.snapshot_image(Some(step)).unwrap()).unwrap();
+        let queries = loaded.prepare(&raws[..raws.len().min(4)], 2).unwrap();
+        for (qi, q) in queries.iter().enumerate() {
+            let all = linear_scan_range(&raws[qi], &raws, f64::INFINITY).unwrap();
+            let epsilon = all.distances[rank.min(raws.len() - 1)];
+            let got = loaded.range(q, epsilon).unwrap();
+            let truth = linear_scan_range(&raws[qi], &raws, epsilon).unwrap();
+            prop_assert_eq!(
+                &got.retrieved,
+                &truth.retrieved,
+                "query {} eps {} shards {} step {}",
+                qi, epsilon, shards, step
+            );
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.distances), bits(&truth.distances));
         }
     }
 

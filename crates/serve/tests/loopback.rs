@@ -428,6 +428,21 @@ fn metrics_surface_preregistered_stage_rows_before_traffic() {
     server.stop();
 }
 
+/// The trace objects of the `"slow"` array of an `OP_METRICS` JSON
+/// document, one text slice per trace.
+fn slow_log_traces(json: &str) -> Vec<&str> {
+    let slow = json.split("\"slow\": [").nth(1).expect("metrics JSON carries a slow log");
+    slow.split("{\"id\": ").skip(1).collect()
+}
+
+/// The unsigned integer after `"name": ` in a trace's JSON text.
+fn trace_field(trace: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let rest = trace.split(&key).nth(1).unwrap_or_else(|| panic!("trace lacks {name}: {trace}"));
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|_| panic!("{name} is not a number: {trace}"))
+}
+
 #[test]
 fn traces_decompose_end_to_end_latency_into_stages() {
     if !sapla_obs::enabled() {
@@ -435,40 +450,37 @@ fn traces_decompose_end_to_end_latency_into_stages() {
     }
     let raws = dataset(40);
     let queries = query_samples(3);
-    let server = Server::start(
-        build_engine(&raws, 2, TreeKind::Dbch),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .unwrap();
+    // Threshold 0 ms copies every finished request's trace into this
+    // server's own slow log, so the test reads its trace from state no
+    // other test touches. The connection serves requests in order, so
+    // the kNN request's trace is logged before the metrics request
+    // below is read.
+    let cfg = ServerConfig { slow_ms: Some(0), ..ServerConfig::default() };
+    let server = Server::start(build_engine(&raws, 2, TreeKind::Dbch), "127.0.0.1:0", cfg).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    // k = 6 is unique to this test, so its traces are identifiable even
-    // with other loopback tests hammering the shared recorder ring.
     client.knn(&queries, 6).unwrap();
 
-    let k_idx = sapla_obs::recorder::Meta::K as usize;
-    let traces: Vec<_> = sapla_obs::recorder::recent(sapla_obs::recorder::TRACE_CAPACITY)
-        .into_iter()
-        .filter(|d| d.meta[k_idx] == 6)
-        .collect();
-    assert!(!traces.is_empty(), "the k=6 request must have left a trace");
+    let json = client.metrics(MetricsFormat::Json).unwrap();
+    let traces: Vec<&str> =
+        slow_log_traces(&json).into_iter().filter(|d| trace_field(d, "k") == 6).collect();
+    assert!(!traces.is_empty(), "the k=6 request must have left a trace:\n{json}");
     for d in &traces {
-        let names: Vec<&str> = d.stages.iter().map(|&(n, _, _)| n).collect();
         for stage in ["decode", "prepare", "queue", "batch", "execute", "merge", "reply"] {
-            assert!(names.contains(&stage), "trace {d:?} is missing stage {stage}");
+            let name = format!("\"name\": \"{stage}\"");
+            assert!(d.contains(&name), "trace {d} is missing stage {stage}");
         }
-        assert!(d.total_ns > 0, "completed trace has an end stamp: {d:?}");
+        let total_ns = trace_field(d, "total_ns");
+        assert!(total_ns > 0, "completed trace has an end stamp: {d}");
         assert!(
-            d.stage_sum_ns() <= d.total_ns,
+            trace_field(d, "stage_sum_ns") <= total_ns,
             "stages are disjoint sub-intervals, so their sum is bounded by \
-             the end-to-end latency: {d:?}"
+             the end-to-end latency: {d}"
         );
-        let nq = d.meta[sapla_obs::recorder::Meta::BatchQueries as usize];
-        assert!(nq >= queries.len() as u64, "the batch carried at least our queries: {d:?}");
+        let nq = trace_field(d, "batch_queries");
+        assert!(nq >= queries.len() as u64, "the batch carried at least our queries: {d}");
     }
 
     // The same decomposition is retrievable over the wire.
-    let json = client.metrics(MetricsFormat::Json).unwrap();
     for stage in ["\"decode\"", "\"queue\"", "\"execute\"", "\"reply\""] {
         assert!(json.contains(stage), "wire metrics must carry stage names:\n{json}");
     }

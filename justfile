@@ -1,9 +1,11 @@
 # Local CI entry points. `just ci` is the gate a PR must pass.
 
-# Tier-1: the seed suite must build in release and every test must pass.
+# Tier-1: the seed suite must build in release and every test must pass,
+# with tests running in parallel (shared process state between tests
+# shows up here, not with one test thread).
 tier1:
     cargo build --release
-    cargo test -q
+    cargo test -q -- --test-threads=4
 
 # Lints: warnings are errors, formatting is canonical.
 lint:
@@ -83,8 +85,19 @@ simd-off:
     SAPLA_SIMD=off cargo test -q
     cargo bench -p sapla-bench --bench perf_json -- --quick --no-simd
 
+# Perf-report smoke: the quick grid with every section written to JSON,
+# then Rust validators (no jq) for the profile JSON, the obs_overhead
+# section and the cold_start section. The bench runs in its package
+# directory, so the report path is anchored at the workspace root.
+bench-smoke:
+    cargo bench -p sapla-bench --bench perf_json -- --quick --json {{justfile_directory()}}/perf-smoke.json
+    cargo test -q -p sapla-cli --test cli profile_json
+    grep -q '"obs_overhead"' perf-smoke.json
+    cargo test -q -p sapla-bench --lib --features obs quick_grid_runs_and_serialises
+    grep -q '"cold_start"' perf-smoke.json
+
 # The full pre-merge gate.
-ci: tier1 lint audit audit-model-serve obs serve-smoke metrics persist simd-off
+ci: tier1 lint audit audit-model-serve obs serve-smoke metrics persist simd-off bench-smoke
 
 # Regenerate every paper table/figure (slow; see EXPERIMENTS.md).
 bench:
