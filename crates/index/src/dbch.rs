@@ -87,7 +87,7 @@ pub struct DbchTree {
     /// for built trees, the maximum per-record quantization perturbation
     /// (in the windowed metric) for trees loaded from quantized
     /// snapshot leaves. See [`crate::scheme::assert_lb_le_exact`].
-    pub(crate) lb_slack: f64,
+    lb_slack: f64,
 }
 
 /// One node of a [`DbchTree`] in exported, layout-stable form — the

@@ -32,8 +32,7 @@
 use std::sync::Arc;
 
 use sapla_baselines::{reduce_batch_parallel, Reducer};
-use sapla_core::codec::{decode_collection, encode_collection};
-use sapla_core::{Bytes, Error, Representation, Result, TimeSeries};
+use sapla_core::{Error, Representation, Result, TimeSeries};
 use sapla_parallel::par_try_map_init;
 
 use crate::batched::{knn_query_major, BlockScratch};
@@ -167,12 +166,12 @@ pub struct Engine {
     pub(crate) reducer: Arc<dyn Reducer>,
     pub(crate) shards: Vec<Shard>,
     pub(crate) total: usize,
-    /// Additive `Dist_LB` slack the strict-invariants audit must allow:
+    /// Additive `Dist_LB` slack every pruning comparison is widened by:
     /// `0.0` for engines built from raw series, the maximum per-record
     /// quantization perturbation for engines loaded from a quantized
-    /// snapshot (see `crate::snapshot`). Survives `reload_from_snapshot`
-    /// because the reps stay perturbed relative to the raw series even
-    /// after a rebuild.
+    /// snapshot (see `crate::snapshot`). Only a snapshot load sets it;
+    /// such an engine cannot be re-imaged, since an image would not
+    /// carry the slack.
     pub(crate) lb_slack: f64,
 }
 
@@ -203,11 +202,11 @@ impl Engine {
         let _span = sapla_obs::span!("engine.build");
         let scheme: Arc<dyn Scheme> = Arc::from(scheme_for(reducer.name())?);
         let reps = reduce_batch_parallel(reducer.as_ref(), &raws, cfg.m, threads)?;
-        Self::assemble(cfg, scheme, Arc::from(reducer), reps, raws, 0.0)
+        Self::assemble(cfg, scheme, Arc::from(reducer), reps, raws)
     }
 
-    /// Build from already-reduced representations (the snapshot-reload
-    /// path): `reps[g]` must be the reduction of `raws[g]`.
+    /// Build from already-reduced representations (tree insertion only,
+    /// no reduction): `reps[g]` must be the reduction of `raws[g]`.
     ///
     /// # Errors
     ///
@@ -223,7 +222,7 @@ impl Engine {
             return Err(Error::LengthMismatch { left: reps.len(), right: raws.len() });
         }
         let scheme: Arc<dyn Scheme> = Arc::from(scheme_for(reducer.name())?);
-        Self::assemble(cfg, scheme, Arc::from(reducer), reps, raws, 0.0)
+        Self::assemble(cfg, scheme, Arc::from(reducer), reps, raws)
     }
 
     fn assemble(
@@ -232,7 +231,6 @@ impl Engine {
         reducer: Arc<dyn Reducer>,
         reps: Vec<Representation>,
         raws: Vec<TimeSeries>,
-        lb_slack: f64,
     ) -> Result<Engine> {
         let n_shards = cfg.shards.max(1);
         let total = reps.len();
@@ -250,20 +248,13 @@ impl Engine {
         let mut shards = Vec::with_capacity(n_shards);
         for (reps, raws) in shard_reps.into_iter().zip(shard_raws) {
             let index = match cfg.tree {
-                TreeKind::Dbch => {
-                    let mut tree = DbchTree::build_with_rule(
-                        scheme.as_ref(),
-                        reps,
-                        cfg.min_fill,
-                        cfg.max_fill,
-                        cfg.rule,
-                    )?;
-                    // A quantized-snapshot lineage keeps its audit slack
-                    // across rebuilds (the reps are still perturbed
-                    // relative to the raws).
-                    tree.lb_slack = lb_slack;
-                    ShardIndex::Dbch(tree)
-                }
+                TreeKind::Dbch => ShardIndex::Dbch(DbchTree::build_with_rule(
+                    scheme.as_ref(),
+                    reps,
+                    cfg.min_fill,
+                    cfg.max_fill,
+                    cfg.rule,
+                )?),
                 TreeKind::Rtree => ShardIndex::Rtree(RTree::build(
                     scheme.as_ref(),
                     reps,
@@ -273,7 +264,7 @@ impl Engine {
             };
             shards.push(Shard { index, raws });
         }
-        Ok(Engine { cfg, scheme, reducer, shards, total, lb_slack })
+        Ok(Engine { cfg, scheme, reducer, shards, total, lb_slack: 0.0 })
     }
 
     /// Number of indexed series (over all shards).
@@ -418,61 +409,6 @@ impl Engine {
         })
     }
 
-    /// The indexed representations in global-id order (reassembled from
-    /// the shards).
-    #[must_use]
-    pub fn reps(&self) -> Vec<Representation> {
-        let n_shards = self.shards.len();
-        let mut out = Vec::with_capacity(self.total);
-        for g in 0..self.total {
-            out.push(self.shards[g % n_shards].index.reps()[g / n_shards].clone());
-        }
-        out
-    }
-
-    /// Serialize the indexed representations with [`sapla_core::codec`]
-    /// (the raw series are the caller's to persist — the codec stores
-    /// segments, not samples).
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec encoding failures ([`Error::TooManyRecords`]).
-    pub fn snapshot(&self) -> Result<Bytes> {
-        let _span = sapla_obs::span!("engine.snapshot");
-        encode_collection(&self.reps())
-    }
-
-    /// Rebuild a fresh engine from a codec blob, reusing this engine's
-    /// configuration, scheme, reducer, and raw series. The blob must
-    /// describe the same membership (`len()` records) — the raws are
-    /// keyed by global id. `self` is untouched, so a service can keep
-    /// answering on the old engine until the new one is ready.
-    ///
-    /// # Errors
-    ///
-    /// Codec decode failures, [`Error::LengthMismatch`] on a record
-    /// count change, and tree-build failures.
-    pub fn reload_from_snapshot(&self, blob: &[u8]) -> Result<Engine> {
-        let _span = sapla_obs::span!("engine.reload");
-        let reps = decode_collection(blob)?;
-        if reps.len() != self.total {
-            return Err(Error::LengthMismatch { left: reps.len(), right: self.total });
-        }
-        let n_shards = self.shards.len();
-        let mut raws = Vec::with_capacity(self.total);
-        for g in 0..self.total {
-            raws.push(self.shards[g % n_shards].raws[g / n_shards].clone());
-        }
-        Self::assemble(
-            self.cfg,
-            Arc::clone(&self.scheme),
-            Arc::clone(&self.reducer),
-            reps,
-            raws,
-            self.lb_slack,
-        )
-    }
-
     /// The additive `Dist_LB` slack carried by this engine's trees —
     /// `0.0` unless the engine descends from a quantized snapshot (see
     /// [`Engine::write_snapshot_file`]).
@@ -493,8 +429,10 @@ impl Engine {
     /// # Errors
     ///
     /// [`sapla_core::Error::UnsupportedRepresentation`] when `quantize`
-    /// is combined with an R-tree engine or non-linear representations;
-    /// encoding failures otherwise.
+    /// is combined with an R-tree engine or non-linear representations,
+    /// and when the engine was itself loaded from a quantized snapshot
+    /// (`lb_slack() > 0`: the image would drop the slack that keeps its
+    /// pruning sound); encoding failures otherwise.
     pub fn snapshot_image(&self, quantize: Option<f64>) -> Result<Vec<u8>> {
         crate::snapshot::write_image(self, quantize)
     }
@@ -517,7 +455,9 @@ impl Engine {
 
     /// Reconstruct an engine from a snapshot image produced by
     /// [`Engine::snapshot_image`]: O(file size) validation and bulk
-    /// materialization, no reduction, no insertion build.
+    /// materialization, no reduction, no insertion build. An image at an
+    /// address that is not 8-byte aligned is first copied into aligned
+    /// storage.
     ///
     /// # Errors
     ///
@@ -525,7 +465,11 @@ impl Engine {
     /// or tampered image (never a panic); scheme/reducer resolution
     /// failures for unknown method names.
     pub fn from_snapshot_image(data: &[u8]) -> Result<Engine> {
-        crate::snapshot::load_image(data)
+        if data.as_ptr().align_offset(8) == 0 {
+            crate::snapshot::load_image(data)
+        } else {
+            crate::snapshot::load_image(sapla_store::SnapshotBytes::from_slice(data).bytes())
+        }
     }
 
     /// Read `path` and reconstruct the engine it holds — the daemon
@@ -688,35 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reload_preserves_answers() {
-        let raws = dataset(45, 64);
-        for shards in [1usize, 3] {
-            let engine = engine_with(shards, TreeKind::Dbch, &raws);
-            let queries = engine.prepare(&raws[..6], 2).unwrap();
-            let (want, _) = engine.knn(&queries, 4, 2).unwrap();
-            let blob = engine.snapshot().unwrap();
-            let reloaded = engine.reload_from_snapshot(&blob).unwrap();
-            assert_eq!(reloaded.len(), engine.len());
-            assert_eq!(reloaded.shard_count(), engine.shard_count());
-            let (got, _) = reloaded.knn(&queries, 4, 2).unwrap();
-            assert_eq!(got, want, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn reload_rejects_membership_changes_and_garbage() {
-        let raws = dataset(20, 64);
-        let engine = engine_with(2, TreeKind::Dbch, &raws);
-        let smaller = engine_with(1, TreeKind::Dbch, &raws[..10]);
-        let blob = smaller.snapshot().unwrap();
-        assert_eq!(
-            engine.reload_from_snapshot(&blob).unwrap_err(),
-            Error::LengthMismatch { left: 10, right: 20 }
-        );
-        assert!(engine.reload_from_snapshot(b"not a snapshot").is_err());
-    }
-
-    #[test]
     fn snapshot_image_roundtrip_is_bit_identical() {
         let raws = dataset(40, 64);
         for shards in [1usize, 3] {
@@ -813,17 +728,48 @@ mod tests {
     }
 
     #[test]
-    fn reload_keeps_quantized_slack() {
-        // An engine descended from a quantized snapshot keeps its audit
-        // slack across codec-blob reloads: the reps stay perturbed
-        // relative to the raws even after the trees are rebuilt.
-        let raws = dataset(24, 64);
+    fn snapshot_image_refuses_a_quantized_lineage_engine() {
+        // An image stores no slack for exact-rep arenas, so re-imaging an
+        // engine loaded from a quantized snapshot would come back with
+        // `lb_slack() == 0` over still-perturbed reps: unsound pruning.
+        // Re-quantizing is refused too: its slack would be measured
+        // against the dequantized reps, not the true reductions.
+        let raws = dataset(40, 64);
         let engine = engine_with(1, TreeKind::Dbch, &raws);
         let loaded =
             Engine::from_snapshot_image(&engine.snapshot_image(Some(0.01)).unwrap()).unwrap();
-        let blob = loaded.snapshot().unwrap();
-        let re = loaded.reload_from_snapshot(&blob).unwrap();
-        assert_eq!(re.lb_slack().to_bits(), loaded.lb_slack().to_bits());
+        assert!(loaded.lb_slack() > 0.0);
+        for quantize in [None, Some(0.01)] {
+            assert!(
+                matches!(
+                    loaded.snapshot_image(quantize),
+                    Err(Error::UnsupportedRepresentation { .. })
+                ),
+                "quantize = {quantize:?}"
+            );
+        }
+        let path =
+            std::env::temp_dir().join(format!("sapla_engine_reimage_{}.snap", std::process::id()));
+        assert!(loaded.write_snapshot_file(&path, None).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn snapshot_image_loads_at_a_misaligned_address() {
+        let raws = dataset(24, 64);
+        let engine = engine_with(2, TreeKind::Dbch, &raws);
+        let queries = engine.prepare(&raws[..4], 2).unwrap();
+        let (want, _) = engine.knn(&queries, 3, 2).unwrap();
+        let image = engine.snapshot_image(None).unwrap();
+        let mut padded = vec![0u8; image.len() + 2];
+        // Offset 1, or 2 should the allocation itself start at 7 mod 8.
+        let off = 1 + usize::from(padded.as_ptr().wrapping_add(1).align_offset(8) == 0);
+        padded[off..off + image.len()].copy_from_slice(&image);
+        let view = &padded[off..off + image.len()];
+        assert_ne!(view.as_ptr().align_offset(8), 0);
+        let loaded = Engine::from_snapshot_image(view).unwrap();
+        let (got, _) = loaded.knn(&queries, 3, 2).unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -417,6 +417,12 @@ fn push_rtree_tree(w: &mut ArenaWriter, shard: u32, tree: &RTree, n_reps: usize)
 }
 
 pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<u8>> {
+    if engine.lb_slack > 0.0 {
+        // Exact-rep arenas carry no slack, and re-quantizing would measure
+        // it against the already-perturbed reps: either image would load
+        // with pruning narrower than the reps' true error.
+        return Err(unsupported("re-imaging an engine loaded from a quantized snapshot"));
+    }
     if let Some(step) = quantize {
         if !step.is_finite() || step <= 0.0 {
             return Err(unsupported("quantization step must be finite and positive"));

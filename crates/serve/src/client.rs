@@ -87,12 +87,15 @@ impl Client {
         Ok(text)
     }
 
-    /// The server's current index snapshot (a `sapla_core::codec`
-    /// collection blob).
+    /// The server's current engine as a `sapla-store` snapshot image,
+    /// loadable with `Engine::from_snapshot_image`. It holds the raw
+    /// series, so it must fit one [`crate::MAX_FRAME`] (256 MiB) frame:
+    /// the server closes the connection rather than send a larger one.
     ///
     /// # Errors
     ///
-    /// As for [`Client::knn`].
+    /// As for [`Client::knn`]; also when the image overruns a frame, or
+    /// the engine was loaded from a quantized snapshot (not re-imageable).
     pub fn snapshot(&mut self) -> Result<Vec<u8>> {
         let payload = self.roundtrip(&wire::encode_bare_request(wire::OP_SNAPSHOT))?;
         let mut r = wire::check_status(&payload).map_err(ServeError::Protocol)?;
@@ -101,15 +104,16 @@ impl Client {
         Ok(blob)
     }
 
-    /// Atomically swap the served engine for one rebuilt from `blob`
-    /// (pass an empty blob to round-trip the server's own snapshot).
-    /// Returns the record count. In-flight queries finish on the old
-    /// engine.
+    /// Atomically swap the served engine for the snapshot image `blob`
+    /// (empty: the server re-reads its index file). Membership may
+    /// change. Returns the new record count. In-flight queries finish
+    /// on the old engine.
     ///
     /// # Errors
     ///
-    /// As for [`Client::knn`]; membership changes and garbage blobs are
-    /// rejected server-side.
+    /// As for [`Client::knn`]. The server refuses, and keeps serving,
+    /// malformed images, an empty blob without an index file, and a
+    /// change of method or `m`.
     pub fn reload(&mut self, blob: &[u8]) -> Result<u64> {
         let payload = self.roundtrip(&wire::encode_reload_request(blob))?;
         let mut r = wire::check_status(&payload).map_err(ServeError::Protocol)?;

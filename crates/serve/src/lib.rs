@@ -26,7 +26,8 @@
 //!
 //! Reloads swap an `Arc<Engine>` inside an `RwLock`: in-flight queries
 //! keep the `Arc` they started with, so a snapshot reload never drops
-//! or blocks running work.
+//! or blocks running work. `SNAPSHOT` and `RELOAD` carry `sapla-store`
+//! snapshot images; a reload may change membership, not method or `m`.
 //!
 //! # Wire protocol
 //!
@@ -39,9 +40,9 @@
 //!   RANGE    (0x02) := epsilon:f64 series
 //!   STATS    (0x03) := —
 //!   SNAPSHOT (0x04) := —
-//!   RELOAD   (0x05) := blen:u32 blob[blen]          (blen = 0 ⇒ re-read the
-//!                                                    configured index file,
-//!                                                    else own snapshot)
+//!   RELOAD   (0x05) := blen:u32 blob[blen]          (snapshot image; blen = 0
+//!                                                    ⇒ re-read the index file,
+//!                                                    which must be configured)
 //!   SHUTDOWN (0x06) := —
 //!   METRICS  (0x07) := format:u8                    (0 = JSON, 1 = text)
 //! response := status:u8 body
@@ -50,7 +51,8 @@
 //!               batch_measured:u64 batch_candidates:u64
 //!   RANGE ok := n:u32 (id:u64 dist:f64){n} measured:u64
 //!   STATS ok := jlen:u32 utf8[jlen]                 (JSON document)
-//!   SNAPSHOT ok := blen:u32 blob[blen]              (codec collection)
+//!   SNAPSHOT ok := blen:u32 blob[blen]              (snapshot image, incl.
+//!                                                    raw series: ≤ 256 MiB)
 //!   RELOAD ok   := records:u64
 //!   SHUTDOWN ok := —
 //!   METRICS ok  := tlen:u32 utf8[tlen]              (JSON or Prometheus-

@@ -11,7 +11,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use bytes::Buf;
 use sapla_core::TimeSeries;
 use sapla_index::{BatchStats, Engine, Query, SearchStats};
 use sapla_obs::recorder::{self, Meta, Stage, TraceDump, TraceId};
@@ -34,10 +33,10 @@ pub struct ServerConfig {
     /// into the slow-query log served by `OP_METRICS` (`None` = off).
     /// Needs the `obs` feature; without it the log stays empty.
     pub slow_ms: Option<u64>,
-    /// On-disk `sapla-store` snapshot backing this instance. When set,
-    /// an empty-blob `reload` request re-reads this file (an O(file
-    /// size) cold-start-style load — membership may change between
-    /// generations) instead of round-tripping the in-memory codec blob.
+    /// On-disk `sapla-store` snapshot backing this instance: an
+    /// empty-blob `reload` re-reads it (an O(file size) load), and is an
+    /// error response without it. The file, like a reload blob, may
+    /// change membership but not the method or `m`.
     pub index_file: Option<std::path::PathBuf>,
 }
 
@@ -373,11 +372,11 @@ fn handle_request(shared: &Arc<Shared>, req: Request, trace: TraceId) -> Vec<u8>
         Request::Knn { k, queries } => handle_knn(shared, k, &queries, trace),
         Request::Range { epsilon, query } => handle_range(shared, epsilon, query),
         Request::Stats => wire::ok_text_response(&stats_json(shared)),
-        Request::Snapshot => match shared.current_engine().snapshot() {
-            Ok(blob) => wire::ok_blob_response(blob.chunk()),
+        Request::Snapshot => match shared.current_engine().snapshot_image(None) {
+            Ok(image) => wire::ok_blob_response(&image),
             Err(e) => wire::err_response(&e.to_string()),
         },
-        Request::Reload { blob } => handle_reload(shared, blob),
+        Request::Reload { blob } => handle_reload(shared, &blob),
         Request::Shutdown => wire::ok_empty_response(),
         Request::Metrics { format } => {
             let text = match format {
@@ -420,8 +419,9 @@ fn handle_knn(shared: &Arc<Shared>, k: usize, queries: &[Vec<f64>], trace: Trace
     };
     record_stage(trace, Stage::Prepare, prepare_start, sapla_obs::clock::now_ns());
     // Hand the prepared queries to the batcher and block on the reply.
-    // Queries only depend on the reducer and `m`, both invariant across
-    // reloads, so they stay valid whichever engine generation answers.
+    // Queries only depend on the reducer and `m`, and `handle_reload`
+    // refuses a generation that changes either, so they stay valid
+    // whichever engine generation answers.
     let (tx, rx) = mpsc::channel();
     let enqueued_ns = sapla_obs::clock::now_ns();
     {
@@ -463,47 +463,36 @@ fn handle_range(shared: &Arc<Shared>, epsilon: f64, query: Vec<f64>) -> Vec<u8> 
     }
 }
 
-fn swap_engine(shared: &Arc<Shared>, fresh: Engine) -> Vec<u8> {
+/// Load the next generation (a non-empty blob is a snapshot image, an
+/// empty one re-reads the index file) and swap it in. Membership may
+/// change; the method and `m` may not, since queued queries were
+/// prepared with them, so the check and the swap share one write lock.
+fn handle_reload(shared: &Shared, blob: &[u8]) -> Vec<u8> {
+    let fresh = match (blob.is_empty(), &shared.index_file) {
+        (false, _) => Engine::from_snapshot_image(blob),
+        (true, Some(path)) => Engine::from_snapshot_file(path),
+        (true, None) => return wire::err_response("an empty reload needs an index file"),
+    };
+    let fresh = match fresh {
+        Ok(fresh) => fresh,
+        Err(e) => return wire::err_response(&e.to_string()),
+    };
     let records = fresh.len() as u64;
-    *shared.engine.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(fresh);
+    {
+        let mut serving = shared.engine.write().unwrap_or_else(PoisonError::into_inner);
+        if fresh.method() != serving.method() || fresh.config().m != serving.config().m {
+            return wire::err_response(&format!(
+                "a reload must keep method {} and m = {}",
+                serving.method(),
+                serving.config().m
+            ));
+        }
+        *serving = Arc::new(fresh);
+    }
     shared.counters.reloads.fetch_add(1, Ordering::Relaxed);
     shared.counters.generation.fetch_add(1, Ordering::Relaxed);
     sapla_obs::counter!("serve.reloads");
     wire::ok_records_response(records)
-}
-
-fn handle_reload(shared: &Arc<Shared>, blob: Vec<u8>) -> Vec<u8> {
-    let engine = shared.current_engine();
-    if blob.is_empty() {
-        if let Some(path) = &shared.index_file {
-            // Backed by an on-disk snapshot: re-read the file. The file
-            // carries everything (raws, reps, fully-built trees), so
-            // this is the cold-start load — O(file size), and the new
-            // generation's membership may differ from the old one's.
-            return match Engine::from_snapshot_file(path) {
-                Ok(fresh) => swap_engine(shared, fresh),
-                Err(e) => wire::err_response(&e.to_string()),
-            };
-        }
-    }
-    // Otherwise an empty blob means "rebuild from your own snapshot" —
-    // the round-trip exercises codec + rebuild without shipping bytes.
-    let own: Vec<u8>;
-    let blob: &[u8] = if blob.is_empty() {
-        match engine.snapshot() {
-            Ok(b) => {
-                own = b.chunk().to_vec();
-                &own
-            }
-            Err(e) => return wire::err_response(&e.to_string()),
-        }
-    } else {
-        &blob
-    };
-    match engine.reload_from_snapshot(blob) {
-        Ok(fresh) => swap_engine(shared, fresh),
-        Err(e) => wire::err_response(&e.to_string()),
-    }
 }
 
 impl Counters {

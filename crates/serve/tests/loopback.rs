@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use sapla_baselines::SaplaReducer;
-use sapla_core::codec::decode_collection;
+use sapla_baselines::{Paa, SaplaReducer};
 use sapla_core::TimeSeries;
 use sapla_index::{Engine, EngineConfig, SearchStats, TreeKind};
 use sapla_serve::{Client, MetricsFormat, Server, ServerConfig};
@@ -203,7 +202,7 @@ fn snapshot_reload_cycle_preserves_answers_and_survives_garbage() {
     let raws = dataset(40);
     let queries = query_samples(5);
     let server = Server::start(
-        build_engine(&raws, 2, TreeKind::Dbch),
+        build_engine(&raws[..30], 2, TreeKind::Dbch),
         "127.0.0.1:0",
         ServerConfig::default(),
     )
@@ -211,31 +210,38 @@ fn snapshot_reload_cycle_preserves_answers_and_survives_garbage() {
     let mut client = Client::connect(server.addr()).unwrap();
     let before = client.knn(&queries, 4).unwrap();
 
-    let blob = client.snapshot().unwrap();
-    assert_eq!(decode_collection(&blob).unwrap().len(), raws.len(), "snapshot is a codec blob");
+    // The reply is a snapshot image of the serving engine: loaded
+    // locally, it answers bit-identically.
+    let image = client.snapshot().unwrap();
+    let local = Engine::from_snapshot_image(&image).unwrap();
+    assert_eq!(local.len(), 30);
+    assert_matches_local(&before, &local_answers(&local, &queries, 4), "snapshot image");
 
-    // Explicit blob, then the empty-blob self-round-trip.
-    assert_eq!(client.reload(&blob).unwrap(), raws.len() as u64);
-    assert_eq!(client.reload(&[]).unwrap(), raws.len() as u64);
+    // Reloading that image leaves answers unchanged.
+    assert_eq!(client.reload(&image).unwrap(), 30);
     let after = client.knn(&queries, 4).unwrap();
     assert_eq!(after.per_query, before.per_query, "reload must not change answers");
 
-    // Garbage and membership changes are rejected; the server keeps
-    // serving on the old engine.
-    assert!(client.reload(b"not a snapshot").is_err());
-    let smaller = build_engine(&raws[..10], 1, TreeKind::Dbch).snapshot().unwrap();
-    let mut smaller_bytes = Vec::new();
-    {
-        use bytes::Buf;
-        smaller_bytes.extend_from_slice(smaller.chunk());
-    }
-    assert!(client.reload(&smaller_bytes).is_err(), "membership change is rejected");
+    // A larger image changes membership (and shard count); answers then
+    // match a local engine loaded from the same image.
+    let larger = build_engine(&raws, 3, TreeKind::Dbch).snapshot_image(None).unwrap();
+    assert_eq!(client.reload(&larger).unwrap(), raws.len() as u64);
+    let grown = client.knn(&queries, 4).unwrap();
+    let want = local_answers(&Engine::from_snapshot_image(&larger).unwrap(), &queries, 4);
+    assert_matches_local(&grown, &want, "larger image");
+
+    // Garbage, a truncated image, and an empty blob without an index file
+    // are rejected; the server keeps serving the current generation.
+    assert!(client.reload(b"not a snapshot").is_err(), "garbage is rejected");
+    assert!(client.reload(&larger[..larger.len() / 2]).is_err(), "truncation is rejected");
+    assert!(client.reload(&[]).is_err(), "an empty blob needs an index file");
     let still = client.knn(&queries, 4).unwrap();
-    assert_eq!(still.per_query, before.per_query);
+    assert_eq!(still.per_query, grown.per_query);
 
     let stats = client.stats().unwrap();
     assert!(stats.contains("\"reloads\": 2"), "two successful reloads: {stats}");
     assert!(stats.contains("\"generation\": 2"), "generation tracks reloads: {stats}");
+    assert!(stats.contains("\"indexed\": 40"), "the larger generation serves: {stats}");
     server.stop();
 }
 
@@ -253,15 +259,14 @@ fn empty_reload_rereads_the_configured_snapshot_file() {
     let mut client = Client::connect(server.addr()).unwrap();
 
     // Publish a *larger* index to the snapshot file, then reload with an
-    // empty blob: the file is authoritative, so membership may change —
-    // unlike the codec path, which pins the record count.
+    // empty blob: the file is authoritative, so membership may change.
     build_engine(&raws, 2, TreeKind::Dbch).write_snapshot_file(&path, None).unwrap();
     assert_eq!(client.reload(&[]).unwrap(), raws.len() as u64);
     let got = client.knn(&queries, 3).unwrap();
     let want = local_answers(&build_engine(&raws, 2, TreeKind::Dbch), &queries, 3);
     assert_matches_local(&got, &want, "reload-from-file");
 
-    // Non-empty blobs still take the codec round-trip path.
+    // A non-empty blob is loaded as a snapshot image instead of the file.
     let blob = client.snapshot().unwrap();
     assert_eq!(client.reload(&blob).unwrap(), raws.len() as u64);
 
@@ -271,6 +276,66 @@ fn empty_reload_rereads_the_configured_snapshot_file() {
     assert!(client.reload(&[]).is_err(), "missing index file is a clean error");
     let still = client.knn(&queries, 3).unwrap();
     assert_eq!(still.per_query, got.per_query);
+    server.stop();
+}
+
+/// A daemon serving an engine loaded from a quantized snapshot cannot
+/// re-image it (the image would drop the `Dist_LB` slack that keeps its
+/// pruning sound): `OP_SNAPSHOT` is an error response, and the daemon
+/// keeps serving.
+#[test]
+fn snapshot_of_a_quantized_lineage_daemon_is_an_error_response() {
+    let raws = dataset(30);
+    let queries = query_samples(3);
+    let quantized = build_engine(&raws, 1, TreeKind::Dbch).snapshot_image(Some(0.01)).unwrap();
+    let reference = Engine::from_snapshot_image(&quantized).unwrap();
+    assert!(reference.lb_slack() > 0.0);
+    let want = local_answers(&reference, &queries, 3);
+    let server = Server::start(
+        Engine::from_snapshot_image(&quantized).unwrap(),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert!(client.snapshot().is_err(), "a quantized-lineage engine cannot be re-imaged");
+    let got = client.knn(&queries, 3).unwrap();
+    assert_matches_local(&got, &want, "after the refused snapshot");
+    server.stop();
+}
+
+/// Queued queries were prepared with the serving engine's reducer and
+/// `m`, so a reload, from the index file or from a blob, that would
+/// change either is refused and the old generation keeps serving.
+#[test]
+fn reload_refuses_a_different_method_or_coefficient_budget() {
+    let raws = dataset(24);
+    let queries = query_samples(3);
+    let path =
+        std::env::temp_dir().join(format!("sapla-serve-reload-method-{}.snap", std::process::id()));
+    let server = Server::start(
+        build_engine(&raws, 1, TreeKind::Dbch),
+        "127.0.0.1:0",
+        ServerConfig { index_file: Some(path.clone()), ..ServerConfig::default() },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let before = client.knn(&queries, 3).unwrap();
+
+    let paa = Engine::build(EngineConfig::default(), Box::new(Paa), raws.clone(), 2).unwrap();
+    paa.write_snapshot_file(&path, None).unwrap();
+    assert!(client.reload(&[]).is_err(), "a PAA index file is refused");
+    assert!(client.reload(&paa.snapshot_image(None).unwrap()).is_err(), "a PAA image is refused");
+    let cfg = EngineConfig { m: 9, ..EngineConfig::default() };
+    let other_m = Engine::build(cfg, Box::new(SaplaReducer::new()), raws.clone(), 2).unwrap();
+    assert!(client.reload(&other_m.snapshot_image(None).unwrap()).is_err(), "m = 9 is refused");
+
+    let still = client.knn(&queries, 3).unwrap();
+    assert_eq!(still.per_query, before.per_query);
+    let stats = client.stats().unwrap();
+    assert!(stats.contains("\"reloads\": 0"), "no reload succeeded: {stats}");
+    assert!(stats.contains("\"method\": \"SAPLA\""), "SAPLA still serves: {stats}");
+    std::fs::remove_file(&path).ok();
     server.stop();
 }
 

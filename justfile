@@ -70,13 +70,16 @@ metrics:
 # panic), then the engine snapshot round-trip tests and the
 # bit-identity / quantization-bound property tests, stock and under
 # strict-invariants (which re-proves `Dist_LB ≤ exact + slack` inside
-# every refinement the snapshot-loaded trees perform).
+# every refinement the snapshot-loaded trees perform), then the daemon's
+# wire snapshot/reload tests, which carry the same snapshot image.
 persist:
     cargo test -q -p sapla-store
     cargo test -q -p sapla-index --lib snapshot
     cargo test -q -p sapla-index --test snapshot_props
     cargo test -q -p sapla-index --features strict-invariants --lib snapshot
     cargo test -q -p sapla-index --features strict-invariants --test snapshot_props
+    cargo test -q -p sapla-serve --test loopback reload
+    cargo test -q -p sapla-serve --test loopback quantized_lineage
 
 # SIMD dispatch safety net: the whole suite pinned to the scalar
 # kernels through the env override (the bit-identity contract means no
