@@ -65,14 +65,10 @@ fn main() {
         println!("simd A/B (planned batch kNN, k = 4):");
         for p in &report.simd {
             let speedup = p.scalar_ns_per_query / p.simd_ns_per_query;
-            print!(
-                "  n = {:5}  scalar {:>10.0} ns/query  {} {:>10.0} ns/query  ({speedup:.2}x)  blocks:",
+            println!(
+                "  n = {:5}  scalar {:>10.0} ns/query  {} {:>10.0} ns/query  ({speedup:.2}x)",
                 p.n, p.scalar_ns_per_query, p.level, p.simd_ns_per_query
             );
-            for (qb, ns) in &p.blocks {
-                print!("  {qb}->{ns:.0}ns");
-            }
-            println!();
         }
     }
 

@@ -13,10 +13,7 @@ use std::time::{Duration, Instant};
 use sapla_baselines::{reduce_batch, SaplaReducer};
 use sapla_core::simd::{self, SimdLevel};
 use sapla_data::{catalogue, Protocol};
-use sapla_index::{
-    ingest_parallel, knn_batch, knn_batch_with_block, prepare_queries, scheme_for, Engine,
-    EngineConfig, NodeDistRule,
-};
+use sapla_index::{Engine, EngineConfig};
 use sapla_serve::{Client, Server, ServerConfig};
 
 use crate::time_it;
@@ -48,9 +45,6 @@ pub struct PerfGrid {
     /// Wire-request batch sizes (queries per kNN request) for the
     /// loopback daemon point; empty skips the serve measurement.
     pub serve_batches: Vec<usize>,
-    /// Query-block sizes for the query-major leaf-batch sweep in the
-    /// SIMD section (queries co-scheduled per worker chunk).
-    pub query_blocks: Vec<usize>,
     /// When `false`, skip the scalar-vs-dispatched SIMD comparison
     /// (e.g. the bench's `--no-simd` run, where the whole grid is
     /// already pinned to the scalar kernels).
@@ -74,7 +68,6 @@ impl PerfGrid {
             threads: 1,
             use_plan: true,
             serve_batches: vec![1, 8, 64],
-            query_blocks: vec![1, 4, 16],
             simd_compare: true,
             cold_start_dbs: vec![256, 1024, 4096],
         }
@@ -92,7 +85,6 @@ impl PerfGrid {
             threads: 1,
             use_plan: true,
             serve_batches: vec![1, 8],
-            query_blocks: vec![1, 4, 16],
             simd_compare: true,
             cold_start_dbs: vec![64, 256],
         }
@@ -125,7 +117,8 @@ pub struct IndexPoint {
     pub db: usize,
     /// Query count.
     pub queries: usize,
-    /// Wall time to reduce + build the DBCH-tree, nanoseconds.
+    /// Wall time of `Engine::build` (reduce + build the DBCH-tree),
+    /// nanoseconds.
     pub ingest_ns: f64,
     /// Mean k-NN time per query (k = 4), nanoseconds.
     pub knn_ns_per_query: f64,
@@ -157,8 +150,7 @@ pub struct KnnPoint {
 /// One SIMD A/B measurement over the planned k-NN path: the same
 /// DBCH-tree batch search forced through the scalar kernels and through
 /// the auto-detected vector level (answers are bit-identical — only the
-/// clock moves), plus a query-block sweep at the detected level showing
-/// how query-major co-scheduling amortises each SoA leaf load.
+/// clock moves).
 #[derive(Debug, Clone)]
 pub struct SimdPoint {
     /// Series length.
@@ -170,9 +162,6 @@ pub struct SimdPoint {
     pub scalar_ns_per_query: f64,
     /// Mean k-NN time per query at the detected level, nanoseconds.
     pub simd_ns_per_query: f64,
-    /// `(query_block, ns_per_query)` at the detected level for each
-    /// sweep point in [`PerfGrid::query_blocks`].
-    pub blocks: Vec<(usize, f64)>,
 }
 
 /// One loopback-daemon throughput measurement: a single client sending
@@ -249,9 +238,8 @@ pub struct PerfReport {
     pub index: Vec<IndexPoint>,
     /// k-NN kernel detail, aligned with `index`.
     pub knn: Vec<KnnPoint>,
-    /// Scalar-vs-dispatched SIMD comparison and query-block sweep (one
-    /// point per series length; empty when [`PerfGrid::simd_compare`]
-    /// is off).
+    /// Scalar-vs-dispatched SIMD comparison (one point per series
+    /// length; empty when [`PerfGrid::simd_compare`] is off).
     pub simd: Vec<SimdPoint>,
     /// Loopback daemon throughput at each request batch size.
     pub serve: Vec<ServePoint>,
@@ -340,31 +328,14 @@ pub fn run(grid: &PerfGrid) -> PerfReport {
 
     let mut index = Vec::new();
     let mut knn = Vec::new();
-    let scheme = scheme_for("SAPLA").unwrap();
     let segments = grid.segment_counts[0];
-    let m = 3 * segments;
     for &n in &grid.lens {
         if n < 2 * segments {
             continue;
         }
         let db = grid_series(n, grid.index_db);
-        let raw_queries =
-            grid_series(n.max(4), grid.index_queries + grid.index_db).split_off(grid.index_db);
-        let (tree, ingest) = time_it(|| {
-            ingest_parallel(
-                scheme.as_ref(),
-                &reducer,
-                &db,
-                m,
-                2,
-                5,
-                NodeDistRule::Paper,
-                grid.threads,
-            )
-            .expect("grid ingest")
-        });
-        let mut queries =
-            prepare_queries(&raw_queries, &reducer, m, grid.threads).expect("grid queries");
+        let (engine, ingest) = time_it(|| grid_engine(grid, db));
+        let mut queries = grid_queries(grid, n, &engine);
         if !grid.use_plan {
             // No plan → the scheme falls back to the stock streaming
             // `Dist_PAR` (no SoA, no abandoning): the before side of the
@@ -375,8 +346,7 @@ pub fn run(grid: &PerfGrid) -> PerfReport {
         }
         let before = sapla_obs::Snapshot::capture();
         let (reps, knn_ns) = measure(grid.min_time, || {
-            let out = knn_batch(&tree, &queries, 4, scheme.as_ref(), &db, grid.threads)
-                .expect("grid knn");
+            let out = engine.knn(&queries, 4, grid.threads).expect("grid knn");
             std::hint::black_box(&out);
         });
         let after = sapla_obs::Snapshot::capture();
@@ -388,7 +358,7 @@ pub fn run(grid: &PerfGrid) -> PerfReport {
         index.push(IndexPoint {
             n,
             segments,
-            db: db.len(),
+            db: engine.len(),
             queries: queries.len(),
             ingest_ns: ingest.as_nanos() as f64,
             knn_ns_per_query: knn_ns / queries.len() as f64,
@@ -396,7 +366,7 @@ pub fn run(grid: &PerfGrid) -> PerfReport {
         knn.push(KnnPoint {
             n,
             segments,
-            db: db.len(),
+            db: engine.len(),
             queries: queries.len(),
             refine_ns_per_candidate: if considered > 0.0 {
                 knn_ns / (considered / calls)
@@ -473,70 +443,55 @@ fn measure_cold_start(grid: &PerfGrid) -> Vec<ColdStartPoint> {
     out
 }
 
-/// Scalar-vs-dispatched A/B over the planned batch k-NN path, plus the
-/// query-block sweep. Forces the process-global dispatch level around
-/// each side and restores whatever was active on entry (so a bench run
-/// that pre-forced scalar stays scalar afterwards).
+/// The grid's one-shard SAPLA/DBCH engine over `db`, built on
+/// `grid.threads` workers.
+fn grid_engine(grid: &PerfGrid, db: Vec<sapla_core::TimeSeries>) -> Engine {
+    let cfg = EngineConfig { m: 3 * grid.segment_counts[0], ..EngineConfig::default() };
+    Engine::build(cfg, Box::new(SaplaReducer::new()), db, grid.threads).expect("grid engine")
+}
+
+/// The grid's `index_queries` queries (series past the database in the
+/// same deterministic stream), prepared by `engine`.
+fn grid_queries(grid: &PerfGrid, n: usize, engine: &Engine) -> Vec<sapla_index::Query> {
+    let raw_queries =
+        grid_series(n.max(4), grid.index_queries + grid.index_db).split_off(grid.index_db);
+    engine.prepare(&raw_queries, grid.threads).expect("grid queries")
+}
+
+/// Scalar-vs-dispatched A/B over the planned batch k-NN path. Forces
+/// the process-global dispatch level around each side and restores
+/// whatever was active on entry (so a bench run that pre-forced scalar
+/// stays scalar afterwards).
 fn measure_simd(grid: &PerfGrid) -> Vec<SimdPoint> {
     if !grid.simd_compare {
         return Vec::new();
     }
     let prev = simd::active();
     let detected = simd::detect();
-    let reducer = SaplaReducer::new();
-    let scheme = scheme_for("SAPLA").unwrap();
     let segments = grid.segment_counts[0];
-    let m = 3 * segments;
     let mut out = Vec::new();
     for &n in &grid.lens {
         if n < 2 * segments {
             continue;
         }
-        let db = grid_series(n, grid.index_db);
-        let raw_queries =
-            grid_series(n.max(4), grid.index_queries + grid.index_db).split_off(grid.index_db);
-        let tree = ingest_parallel(
-            scheme.as_ref(),
-            &reducer,
-            &db,
-            m,
-            2,
-            5,
-            NodeDistRule::Paper,
-            grid.threads,
-        )
-        .expect("simd grid ingest");
-        let queries =
-            prepare_queries(&raw_queries, &reducer, m, grid.threads).expect("simd grid queries");
-        let per_query = 1.0 / queries.len() as f64;
-        let timed = |block: usize| {
+        let engine = grid_engine(grid, grid_series(n, grid.index_db));
+        let queries = grid_queries(grid, n, &engine);
+        let timed = || {
             let (_, ns) = measure(grid.min_time, || {
-                let out = knn_batch_with_block(
-                    &tree,
-                    &queries,
-                    4,
-                    scheme.as_ref(),
-                    &db,
-                    grid.threads,
-                    block,
-                )
-                .expect("simd grid knn");
+                let out = engine.knn(&queries, 4, grid.threads).expect("simd grid knn");
                 std::hint::black_box(&out);
             });
-            ns * per_query
+            ns / queries.len() as f64
         };
         simd::force(SimdLevel::Scalar).expect("scalar is always supported");
-        let scalar_ns_per_query = timed(sapla_index::DEFAULT_QUERY_BLOCK);
+        let scalar_ns_per_query = timed();
         simd::force(detected).expect("detected level is supported");
-        let simd_ns_per_query = timed(sapla_index::DEFAULT_QUERY_BLOCK);
-        let blocks: Vec<(usize, f64)> =
-            grid.query_blocks.iter().map(|&qb| (qb, timed(qb))).collect();
+        let simd_ns_per_query = timed();
         out.push(SimdPoint {
             n,
             level: detected.name().to_string(),
             scalar_ns_per_query,
             simd_ns_per_query,
-            blocks,
         });
     }
     simd::force(prev).expect("restoring the prior simd level");
@@ -714,16 +669,7 @@ impl PerfReport {
             push_kv(&mut s, "scalar_ns_per_query", p.scalar_ns_per_query);
             s.push_str(", ");
             push_kv(&mut s, "simd_ns_per_query", p.simd_ns_per_query);
-            s.push_str(", \"blocks\": [");
-            for (j, (qb, ns)) in p.blocks.iter().enumerate() {
-                s.push_str(&format!("{{\"query_block\": {qb}, "));
-                push_kv(&mut s, "ns_per_query", *ns);
-                s.push('}');
-                if j + 1 < p.blocks.len() {
-                    s.push_str(", ");
-                }
-            }
-            s.push_str("]}");
+            s.push('}');
             if i + 1 < self.simd.len() {
                 s.push(',');
             }
@@ -809,12 +755,9 @@ mod tests {
         assert!(json.contains("\"queries_per_sec\""));
         assert!(json.contains("\"simd\""));
         assert!(json.contains("\"scalar_ns_per_query\""));
-        assert!(json.contains("\"query_block\""));
         assert_eq!(report.simd.len(), report.index.len());
         for p in &report.simd {
             assert!(p.scalar_ns_per_query > 0.0 && p.simd_ns_per_query > 0.0);
-            assert_eq!(p.blocks.len(), PerfGrid::quick().query_blocks.len());
-            assert!(p.blocks.iter().all(|&(qb, ns)| qb > 0 && ns > 0.0));
         }
         assert_eq!(report.serve.len(), PerfGrid::quick().serve_batches.len());
         for p in &report.serve {

@@ -45,10 +45,10 @@ use crate::knn::{HullMemo, KnnHeap, SearchStats, SearchTally};
 use crate::scheme::{Query, Scheme};
 use crate::soa::LeafBlock;
 
-/// How many queries ride in one co-scheduled block by default. Large
-/// enough that shared leaves amortise a block fetch across many
-/// queries, small enough that a block's heaps and scratches stay
-/// resident next to the leaf data (the perf harness sweeps 1/4/16).
+/// How many queries ride in one co-scheduled block of an
+/// [`crate::Engine::knn`] batch. Large enough that shared leaves
+/// amortise a block fetch across many queries, small enough that a
+/// block's heaps and scratches stay resident next to the leaf data.
 pub const DEFAULT_QUERY_BLOCK: usize = 16;
 
 /// One node of a [`BatchTree`], as the driver sees it.

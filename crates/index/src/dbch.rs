@@ -136,7 +136,7 @@ impl DbchTree {
         max_fill: usize,
         rule: NodeDistRule,
     ) -> Result<DbchTree> {
-        assert!(min_fill >= 1 && max_fill >= 2 * min_fill, "invalid fill factors");
+        assert!(min_fill >= 1 && max_fill / 2 >= min_fill, "invalid fill factors");
         let mut tree = DbchTree {
             min_fill,
             max_fill,
@@ -301,7 +301,9 @@ impl DbchTree {
         fn corrupt(reason: &'static str) -> sapla_core::Error {
             sapla_core::Error::CorruptIndex { reason }
         }
-        if min_fill < 1 || max_fill < 2 * min_fill {
+        // Halve rather than double: snapshot fills are untrusted and
+        // `2 * min_fill` can overflow.
+        if min_fill < 1 || max_fill / 2 < min_fill {
             return Err(corrupt("snapshot fill factors violate min/max constraints"));
         }
         if !lb_slack.is_finite() || lb_slack < 0.0 {

@@ -1,13 +1,12 @@
-//! [`Engine`] — reusable kNN / range orchestration over a (possibly
+//! [`Engine`] — the one batch-search entry point over a (possibly
 //! sharded) index, shared by the CLI, the bench harness, and
 //! `sapla-serve`.
 //!
 //! The engine owns everything a query needs: the indexing [`Scheme`],
 //! the [`Reducer`] that turns raw series into queries, the raw series
 //! (for exact refinement), and one or more index shards. Callers hand
-//! it raw query series (or pre-built [`Query`]s) and get back the same
-//! `(Vec<SearchStats>, BatchStats)` that [`crate::parallel::knn_batch`]
-//! produces.
+//! it raw query series ([`Engine::prepare`]) or pre-built [`Query`]s and
+//! get back per-query [`SearchStats`] plus batch-wide [`BatchStats`].
 //!
 //! # Sharding and determinism
 //!
@@ -20,27 +19,49 @@
 //! `(distance, global id)` — a strict total order, so the merge is
 //! deterministic at every thread count.
 //!
-//! With `shards == 1` the engine is **bit-identical** to the
-//! single-tree [`crate::parallel::knn_batch`] path (pinned by
-//! proptest). With more shards the answer can differ from a single
-//! tree — the paper's node-distance rule is conditional, not a sound
-//! lower bound, so *which* candidates a tree refines depends on tree
-//! structure. The shard count is therefore part of the index
+//! With `shards == 1` the engine is **bit-identical** to a sequential
+//! [`DbchTree::build_with_rule`] + [`DbchTree::knn`] loop over the same
+//! series (pinned by proptest). With more shards the answer can differ
+//! from a single tree — the paper's node-distance rule is conditional,
+//! not a sound lower bound, so *which* candidates a tree refines depends
+//! on tree structure. The shard count is therefore part of the index
 //! configuration, not a tuning knob to vary between runs (see
 //! DESIGN.md, "Service architecture").
 
 use std::sync::Arc;
 
-use sapla_baselines::{reduce_batch_parallel, Reducer};
+use sapla_baselines::{reduce_batch_parallel, ReduceScratch, Reducer};
 use sapla_core::{Error, Representation, Result, TimeSeries};
 use sapla_parallel::par_try_map_init;
 
-use crate::batched::{knn_query_major, BlockScratch};
+use crate::batched::{knn_query_major, BlockScratch, DEFAULT_QUERY_BLOCK};
 use crate::dbch::{DbchTree, NodeDistRule};
 use crate::knn::SearchStats;
-use crate::parallel::{prepare_queries, BatchStats};
 use crate::rtree::RTree;
 use crate::scheme::{scheme_for, Query, Scheme};
+
+/// Batch-wide search counters of one [`Engine::knn`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchStats {
+    /// Number of queries searched.
+    pub queries: usize,
+    /// Exact-distance computations summed over all queries.
+    pub measured: usize,
+    /// Candidate pool summed over all queries (`queries × database`).
+    pub candidates: usize,
+}
+
+impl BatchStats {
+    /// Batch pruning power (Eq. 14 summed over the batch): fraction of
+    /// all query-candidate pairs that had to be measured exactly.
+    pub fn pruning_power(&self) -> f64 {
+        if self.candidates == 0 {
+            0.0
+        } else {
+            self.measured as f64 / self.candidates as f64
+        }
+    }
+}
 
 /// Which index structure backs each shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -297,26 +318,33 @@ impl Engine {
         self.reducer.name()
     }
 
-    /// Reduce raw query series into [`Query`]s (parallel, warm
-    /// scratches; output order is input order).
+    /// Reduce raw query series into [`Query`]s on up to `threads`
+    /// workers, each owning one [`ReduceScratch`] reused across its
+    /// queries. Output order is input order.
     ///
     /// # Errors
     ///
     /// Propagates the earliest (by input order) reduction failure.
     pub fn prepare(&self, raws: &[TimeSeries], threads: usize) -> Result<Vec<Query>> {
-        prepare_queries(raws, self.reducer.as_ref(), self.cfg.m, threads)
+        par_try_map_init(raws, threads, ReduceScratch::new, |scratch, _, raw| {
+            Query::with_scratch(raw, self.reducer.as_ref(), self.cfg.m, scratch)
+        })
     }
 
-    /// Answer a batch of k-NN queries: chunk the queries into
-    /// query-major blocks ([`crate::batched`]), scatter every
-    /// `(block, shard)` pair over up to `threads` workers, gather per
-    /// query by `(distance, global id)`. With one shard this returns
-    /// bit-for-bit what [`crate::parallel::knn_batch`] returns (see module
-    /// docs).
+    /// Answer a batch of k-NN queries: chunk the queries into contiguous
+    /// query-major blocks of [`DEFAULT_QUERY_BLOCK`] ([`crate::batched`]),
+    /// scatter every `(block, shard)` pair over up to `threads` workers
+    /// (`0` = the hardware count), gather per query by
+    /// `(distance, global id)`. Results come back in query order and are
+    /// identical at every thread count; the returned [`BatchStats`]
+    /// equals the sum over the per-query stats.
     ///
     /// # Errors
     ///
-    /// Propagates the earliest (by scatter order) search failure.
+    /// Propagates the earliest failing query's error, in query order:
+    /// blocks are scattered in query order and each reports its earliest
+    /// failing query. (A failure that only some shards hit is ordered by
+    /// shard within its block.)
     pub fn knn(
         &self,
         queries: &[Query],
@@ -325,7 +353,7 @@ impl Engine {
     ) -> Result<(Vec<SearchStats>, BatchStats)> {
         let _span = sapla_obs::span!("engine.knn");
         let n_shards = self.shards.len();
-        let block = crate::batched::DEFAULT_QUERY_BLOCK;
+        let block = DEFAULT_QUERY_BLOCK;
         let blocks: Vec<&[Query]> = queries.chunks(block).collect();
         let tasks: Vec<(usize, usize)> =
             (0..blocks.len()).flat_map(|b| (0..n_shards).map(move |s| (b, s))).collect();
@@ -488,7 +516,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{ingest_parallel, knn_batch};
     use crate::reference;
     use sapla_baselines::SaplaReducer;
 
@@ -515,29 +542,85 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_matches_knn_batch_bit_for_bit() {
+    fn single_shard_matches_sequential_tree_bit_for_bit() {
         let raws = dataset(48, 64);
         let reducer = SaplaReducer::new();
         let scheme = scheme_for("SAPLA").unwrap();
+        let reps: Vec<_> = raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
         let tree =
-            ingest_parallel(scheme.as_ref(), &reducer, &raws, 12, 2, 5, NodeDistRule::Paper, 2)
-                .unwrap();
-        let engine = engine_with(1, TreeKind::Dbch, &raws);
-        let queries = engine.prepare(&raws[..10], 2).unwrap();
-        let (want, want_batch) = knn_batch(&tree, &queries, 5, scheme.as_ref(), &raws, 2).unwrap();
-        for (w, q) in want.iter().zip(&queries) {
-            let seq = reference::knn(&tree, q, 5, scheme.as_ref(), &raws).unwrap();
-            reference::assert_same(w, &seq, "knn_batch vs the reference walk");
-        }
+            DbchTree::build_with_rule(scheme.as_ref(), reps, 2, 5, NodeDistRule::Paper).unwrap();
+        let queries = engine_with(1, TreeKind::Dbch, &raws).prepare(&raws[..20], 2).unwrap();
+        let want: Vec<SearchStats> = queries
+            .iter()
+            .map(|q| reference::knn(&tree, q, 5, scheme.as_ref(), &raws).unwrap())
+            .collect();
         for threads in [1usize, 2, 4, 7] {
-            let (got, got_batch) = engine.knn(&queries, 5, threads).unwrap();
-            assert_eq!(got, want, "threads = {threads}");
-            for (g, w) in got.iter().zip(&want) {
-                for (gd, wd) in g.distances.iter().zip(&w.distances) {
-                    assert_eq!(gd.to_bits(), wd.to_bits());
+            // Parallel reduction, sequential insertion: the same tree.
+            let cfg = EngineConfig::default();
+            let engine =
+                Engine::build(cfg, Box::new(SaplaReducer::new()), raws.clone(), threads).unwrap();
+            let ShardIndex::Dbch(built) = &engine.shards[0].index else { unreachable!() };
+            assert_eq!(built.shape(), tree.shape(), "threads = {threads}");
+            let (got, batch) = engine.knn(&queries, 5, threads).unwrap();
+            for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
+                reference::assert_same(g, w, &format!("threads = {threads}, query {qi}"));
+            }
+            assert_eq!(
+                batch.measured,
+                want.iter().map(|s| s.measured).sum::<usize>(),
+                "batch aggregate must equal the per-query sum"
+            );
+            assert_eq!(batch.queries, queries.len());
+            assert_eq!(batch.candidates, queries.len() * raws.len());
+            assert!(batch.pruning_power() <= 1.0);
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_matches_fresh_scratch() {
+        let raws = dataset(30, 64);
+        let scheme = scheme_for("SAPLA").unwrap();
+        let engine = engine_with(1, TreeKind::Dbch, &raws);
+        let ShardIndex::Dbch(tree) = &engine.shards[0].index else { unreachable!() };
+        // One block scratch carried across blocks of varying size and k.
+        let mut reused = BlockScratch::new();
+        for qi in 0..10 {
+            let queries = engine.prepare(&raws[qi..qi + 1 + qi % 3], 1).unwrap();
+            let k = 2 + qi % 4;
+            let warm =
+                knn_query_major(tree, &queries, k, scheme.as_ref(), &raws, &mut reused).unwrap();
+            for (w, q) in warm.iter().zip(&queries) {
+                let fresh = reference::knn(tree, q, k, scheme.as_ref(), &raws).unwrap();
+                reference::assert_same(w, &fresh, &format!("query {qi}"));
+            }
+        }
+    }
+
+    #[test]
+    fn batch_errors_surface_first_by_query_order() {
+        // Queries over a different series length fail in rep_dist with a
+        // LengthMismatch carrying the query length. Plant two failing
+        // lengths in different query blocks and check that query 2's
+        // error wins at every thread count, over one and three shards.
+        let raws = dataset(30, 64);
+        let bad_a = dataset(1, 32).pop().unwrap();
+        let bad_b = dataset(1, 48).pop().unwrap();
+        for shards in [1usize, 3] {
+            let engine = engine_with(shards, TreeKind::Dbch, &raws);
+            let mut raw_queries: Vec<TimeSeries> = raws.iter().cycle().take(40).cloned().collect();
+            raw_queries[2] = bad_a.clone();
+            raw_queries[20] = bad_b.clone();
+            let queries = engine.prepare(&raw_queries, 2).unwrap();
+            for threads in [1usize, 2, 4, 7] {
+                match engine.knn(&queries, 3, threads).unwrap_err() {
+                    Error::LengthMismatch { left, right } => assert_eq!(
+                        left.min(right),
+                        32,
+                        "shards = {shards}, threads = {threads}: expected query 2's mismatch"
+                    ),
+                    other => panic!("unexpected error: {other:?}"),
                 }
             }
-            assert_eq!(got_batch, want_batch, "threads = {threads}");
         }
     }
 

@@ -17,8 +17,9 @@
 //!   refinement, plus the linear-scan baseline; pruning power (Eq. 14) and
 //!   accuracy (Eq. 15) metrics.
 //! * [`stats`] — tree-shape statistics for Figs. 15–16.
-//! * [`parallel`] — work-stealing parallel ingest and multi-query k-NN
-//!   over one tree, bit-for-bit equal to the sequential paths.
+//! * [`engine`] — the one batch-search entry point: parallel ingest and
+//!   multi-query k-NN / range over one or more shards, bit-for-bit equal
+//!   at every thread count.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -28,7 +29,6 @@ pub mod dbch;
 pub mod engine;
 pub mod knn;
 pub mod linear_scan;
-pub mod parallel;
 pub mod rect;
 #[cfg(test)]
 mod reference;
@@ -40,12 +40,9 @@ pub mod stats;
 
 pub use batched::DEFAULT_QUERY_BLOCK;
 pub use dbch::{DbchTree, NodeDistRule};
-pub use engine::{Engine, EngineConfig, TreeKind};
+pub use engine::{BatchStats, Engine, EngineConfig, TreeKind};
 pub use knn::SearchStats;
-pub use linear_scan::{
-    filtered_scan_knn, filtered_scan_knn_batch, linear_scan_knn, linear_scan_range,
-};
-pub use parallel::{ingest_parallel, knn_batch, knn_batch_with_block, prepare_queries, BatchStats};
+pub use linear_scan::{linear_scan_knn, linear_scan_range};
 pub use rect::HyperRect;
 pub use rtree::RTree;
 pub use scheme::{scheme_for, Query, Scheme};

@@ -235,9 +235,9 @@ mod tests {
     use sapla_core::Representation;
 
     use super::*;
+    use crate::batched::{knn_query_major, BlockScratch};
     use crate::dbch::{DbchTree, NodeDistRule};
     use crate::engine::{Engine, EngineConfig, TreeKind};
-    use crate::parallel::knn_batch_with_block;
     use crate::rtree::RTree;
     use crate::scheme::scheme_for;
 
@@ -341,8 +341,13 @@ mod tests {
                     &format!("rtree range, {ctx}"),
                 );
             }
+            // One scratch carried across every block of every size.
+            let mut scratch = BlockScratch::new();
             for block in [1usize, 2, 16] {
-                let (got, _) = knn_batch_with_block(&dbch, &qs, k, s, &raws, 2, block).unwrap();
+                let got: Vec<SearchStats> = qs
+                    .chunks(block)
+                    .flat_map(|b| knn_query_major(&dbch, b, k, s, &raws, &mut scratch).unwrap())
+                    .collect();
                 for (qi, (g, q)) in got.iter().zip(&qs).enumerate() {
                     assert_same(
                         g,

@@ -90,7 +90,7 @@ impl RTree {
         min_fill: usize,
         max_fill: usize,
     ) -> Result<RTree> {
-        assert!(min_fill >= 1 && max_fill >= 2 * min_fill, "invalid fill factors");
+        assert!(min_fill >= 1 && max_fill / 2 >= min_fill, "invalid fill factors");
         let mut features = Vec::with_capacity(reps.len());
         for rep in &reps {
             features.push(scheme.feature(rep)?);
@@ -129,7 +129,7 @@ impl RTree {
         min_fill: usize,
         max_fill: usize,
     ) -> Result<RTree> {
-        assert!(min_fill >= 1 && max_fill >= 2 * min_fill, "invalid fill factors");
+        assert!(min_fill >= 1 && max_fill / 2 >= min_fill, "invalid fill factors");
         let mut features = Vec::with_capacity(reps.len());
         for rep in &reps {
             features.push(scheme.feature(rep)?);
@@ -362,7 +362,9 @@ impl RTree {
         fn corrupt(reason: &'static str) -> sapla_core::Error {
             sapla_core::Error::CorruptIndex { reason }
         }
-        if min_fill < 1 || max_fill < 2 * min_fill {
+        // Halve rather than double: snapshot fills are untrusted and
+        // `2 * min_fill` can overflow.
+        if min_fill < 1 || max_fill / 2 < min_fill {
             return Err(corrupt("snapshot fill factors violate min/max constraints"));
         }
         if features.len() != reps.len() {

@@ -47,7 +47,7 @@ impl Query {
 
     /// [`Query::new`] with a caller-provided reduction workspace — same
     /// result, reused buffers. The batch preparation path
-    /// ([`crate::parallel::prepare_queries`]) holds one per worker.
+    /// ([`crate::Engine::prepare`]) holds one per worker.
     ///
     /// # Errors
     ///
@@ -200,7 +200,7 @@ pub trait Scheme: Send + Sync {
 /// [`Error::UnknownMethod`] on a name outside the closed set of Table 1.
 pub fn scheme_for(name: &str) -> Result<Box<dyn Scheme>> {
     match name {
-        "SAPLA" | "APLA" => Ok(Box::new(AdaptiveLinearScheme::default())),
+        "SAPLA" | "APLA" => Ok(Box::new(AdaptiveLinearScheme)),
         "APCA" => Ok(Box::new(ApcaScheme)),
         "PLA" => Ok(Box::new(PlaScheme)),
         "PAA" | "PAALM" => Ok(Box::new(PaaScheme)),
@@ -251,23 +251,12 @@ fn region_mindist(regions: &[(usize, usize, f64, f64)], raw: &[f64]) -> f64 {
 /// Scheme for SAPLA/APLA representations.
 ///
 /// When the query carries a [`QueryPlan`], every representation distance
-/// runs the query-compiled kernels (bit-identical results); with
-/// `abandon` set (the default), the threshold-aware leaf filter
-/// additionally early-abandons the window accumulation against
-/// [`safe_sq_bound`] of the running threshold — provably
-/// decision-identical to the full comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveLinearScheme {
-    /// Early-abandon the planned leaf filter (on by default; turning it
-    /// off is for the on/off equivalence tests and stock benchmarks).
-    pub abandon: bool,
-}
-
-impl Default for AdaptiveLinearScheme {
-    fn default() -> Self {
-        AdaptiveLinearScheme { abandon: true }
-    }
-}
+/// runs the query-compiled kernels (bit-identical results), and the
+/// threshold-aware leaf filter additionally early-abandons the window
+/// accumulation against [`safe_sq_bound`] of the running threshold —
+/// provably decision-identical to the full comparison.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AdaptiveLinearScheme;
 
 impl Scheme for AdaptiveLinearScheme {
     fn name(&self) -> &'static str {
@@ -357,8 +346,7 @@ impl Scheme for AdaptiveLinearScheme {
             let d = self.rep_dist_with(q, rep, scratch)?;
             return Ok((d <= threshold).then_some(d));
         };
-        let bound = if self.abandon { safe_sq_bound(threshold) } else { f64::INFINITY };
-        let sq = dist_par_sq_planned(plan, expect_linear(rep)?, scratch, bound)?;
+        let sq = dist_par_sq_planned(plan, expect_linear(rep)?, scratch, safe_sq_bound(threshold))?;
         Ok(keep_below(sq, threshold))
     }
 
@@ -374,8 +362,7 @@ impl Scheme for AdaptiveLinearScheme {
                 operation: "SoA leaf refinement without a query plan",
             });
         };
-        let bound = if self.abandon { safe_sq_bound(threshold) } else { f64::INFINITY };
-        let sq = dist_par_sq_planned_soa(plan, cand, scratch, bound)?;
+        let sq = dist_par_sq_planned_soa(plan, cand, scratch, safe_sq_bound(threshold))?;
         Ok(keep_below(sq, threshold))
     }
 }
@@ -805,7 +792,7 @@ mod tests {
     #[test]
     fn adaptive_mindist_grows_with_query_offset() {
         let reducer = sapla_baselines::SaplaReducer::new();
-        let scheme = AdaptiveLinearScheme::default();
+        let scheme = AdaptiveLinearScheme;
         let db = series(3);
         let rep = reducer.reduce(&db, 12).unwrap();
         let rect = HyperRect::point(&scheme.feature(&rep).unwrap());

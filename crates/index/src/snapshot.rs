@@ -758,6 +758,11 @@ pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
             .ok_or_else(|| Error::UnknownMethod { name: meta.method.clone() })?,
     );
     let n_shards = meta.shards.max(1);
+    // The count is untrusted: check it against the image before sizing
+    // anything by it.
+    if n_shards > v.toc().iter().filter(|e| e.kind == K_SHARD_META).count() {
+        return Err(corrupt("snapshot shard count exceeds its shard arenas"));
+    }
     let mut shards: Vec<Shard> = Vec::with_capacity(n_shards);
     let mut seen = 0usize;
     let mut lb_slack = 0.0f64;
@@ -829,4 +834,45 @@ pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
 pub(crate) fn load_file(path: &Path) -> Result<Engine> {
     let owned = SnapshotBytes::read_file(path)?;
     load_image(owned.bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use sapla_baselines::SaplaReducer;
+
+    use super::*;
+
+    fn engine(tree: TreeKind) -> Engine {
+        let raws: Vec<TimeSeries> = (0..12)
+            .map(|i| {
+                TimeSeries::new((0..48).map(|t| ((t + 5 * i) as f64 * 0.3).sin()).collect())
+                    .unwrap()
+            })
+            .collect();
+        let cfg = EngineConfig { tree, ..EngineConfig::default() };
+        Engine::build(cfg, Box::new(SaplaReducer::new()), raws, 1).unwrap()
+    }
+
+    /// Re-image `engine` after `tamper` edits its config, then load.
+    fn reload_tampered(tree: TreeKind, tamper: impl Fn(&mut EngineConfig)) -> Result<Engine> {
+        let mut engine = engine(tree);
+        tamper(&mut engine.cfg);
+        load_image(&engine.snapshot_image(None)?)
+    }
+
+    #[test]
+    fn huge_shard_count_is_corrupt_not_an_allocation() {
+        for shards in [1usize << 40, usize::MAX] {
+            let loaded = reload_tampered(TreeKind::Dbch, |cfg| cfg.shards = shards);
+            assert!(matches!(loaded, Err(Error::CorruptIndex { .. })), "shards = {shards}");
+        }
+    }
+
+    #[test]
+    fn overflowing_fill_factors_are_corrupt() {
+        for tree in [TreeKind::Dbch, TreeKind::Rtree] {
+            let loaded = reload_tampered(tree, |cfg| cfg.min_fill = 1 << 63);
+            assert!(matches!(loaded, Err(Error::CorruptIndex { .. })), "{tree:?}");
+        }
+    }
 }

@@ -6,8 +6,8 @@ use sapla_baselines::{reduce_batch, reduce_batch_parallel, Paa, Pla, Reducer, Sa
 use sapla_core::{Representation, TimeSeries};
 use sapla_index::scheme::AdaptiveLinearScheme;
 use sapla_index::{
-    filtered_scan_knn, ingest_parallel, knn_batch, linear_scan_knn, linear_scan_range,
-    prepare_queries, scheme_for, DbchTree, NodeDistRule, Query, RTree, Scheme,
+    linear_scan_knn, linear_scan_range, scheme_for, DbchTree, Engine, EngineConfig, NodeDistRule,
+    Query, RTree, SearchStats,
 };
 
 /// Random small database of regime-style series.
@@ -33,6 +33,13 @@ fn db_strategy(n_series: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Ti
                 })
                 .collect()
         })
+}
+
+/// A one-shard SAPLA/DBCH engine (`m = 12`, fill 2..5, the paper's node
+/// rule — the `EngineConfig` defaults) reduced on `threads` workers.
+fn one_shard(raws: &[TimeSeries], threads: usize) -> Engine {
+    Engine::build(EngineConfig::default(), Box::new(SaplaReducer::new()), raws.to_vec(), threads)
+        .unwrap()
 }
 
 proptest! {
@@ -112,9 +119,9 @@ proptest! {
 
     /// The query-compiled `Dist_PAR` plan, the SoA leaf kernel, and the
     /// early-abandoning bound change *how* the filter is computed, never
-    /// *what* it answers: with the plan on (abandoning on or off) and
-    /// with the plan stripped (the stock re-partitioning path), both
-    /// trees and the filtered scan return bit-identical stats —
+    /// *what* it answers: with the plan on (planned, abandoning filter)
+    /// and with the plan stripped (the stock re-partitioning path, the
+    /// pre-plan reference), both trees return bit-identical stats —
     /// retrieved ids, exact distances, and measured counts.
     #[test]
     fn planned_and_abandoning_searches_are_bit_identical(
@@ -122,38 +129,25 @@ proptest! {
         k in 1usize..6,
     ) {
         let reducer = SaplaReducer::new();
+        let scheme = AdaptiveLinearScheme;
         let reps: Vec<Representation> =
             raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
-        let rtree = RTree::build(&AdaptiveLinearScheme::default(), reps.clone(), 2, 5).unwrap();
-        let dbch = DbchTree::build(&AdaptiveLinearScheme::default(), reps.clone(), 2, 5).unwrap();
+        let rtree = RTree::build(&scheme, reps.clone(), 2, 5).unwrap();
+        let dbch = DbchTree::build(&scheme, reps, 2, 5).unwrap();
         let planned = Query::new(&raws[0], &reducer, 12).unwrap();
         prop_assert!(planned.plan.is_some(), "SAPLA queries must carry a plan");
-        let mut stock = Query::new(&raws[0], &reducer, 12).unwrap();
+        let mut stock = planned.clone();
         stock.plan = None;
-        let abandon_on = AdaptiveLinearScheme::default();
-        let abandon_off = AdaptiveLinearScheme { abandon: false };
-        // (query, scheme) variants; the stripped-plan one is the
-        // pre-plan reference implementation.
-        let variants: [(&Query, &dyn Scheme, &str); 3] = [
-            (&stock, &abandon_on, "stock"),
-            (&planned, &abandon_on, "planned+abandon"),
-            (&planned, &abandon_off, "planned"),
-        ];
         for (path, search) in [
-            ("rtree", Box::new(|q: &Query, s: &dyn Scheme| rtree.knn(q, k, s, &raws).unwrap())
-                as Box<dyn Fn(&Query, &dyn Scheme) -> sapla_index::SearchStats>),
-            ("dbch", Box::new(|q: &Query, s: &dyn Scheme| dbch.knn(q, k, s, &raws).unwrap())),
-            ("scan", Box::new(|q: &Query, s: &dyn Scheme| {
-                filtered_scan_knn(q, &reps, &raws, k, s).unwrap()
-            })),
+            ("rtree", Box::new(|q: &Query| rtree.knn(q, k, &scheme, &raws).unwrap())
+                as Box<dyn Fn(&Query) -> SearchStats>),
+            ("dbch", Box::new(|q: &Query| dbch.knn(q, k, &scheme, &raws).unwrap())),
         ] {
-            let want = search(variants[0].0, variants[0].1);
-            for &(q, s, name) in &variants[1..] {
-                let got = search(q, s);
-                prop_assert_eq!(&got, &want, "{} / {}", path, name);
-                for (gd, wd) in got.distances.iter().zip(&want.distances) {
-                    prop_assert!(gd.to_bits() == wd.to_bits(), "{} / {}", path, name);
-                }
+            let want = search(&stock);
+            let got = search(&planned);
+            prop_assert_eq!(&got, &want, "{}", path);
+            for (gd, wd) in got.distances.iter().zip(&want.distances) {
+                prop_assert!(gd.to_bits() == wd.to_bits(), "{}", path);
             }
         }
     }
@@ -174,9 +168,12 @@ proptest! {
         }
     }
 
-    /// Parallel ingest (work-stealing reduction + sequential build) gives
-    /// a tree whose shape and search results are bit-for-bit those of the
-    /// fully sequential pipeline, for every thread count.
+    /// A one-shard engine built on any thread count (work-stealing
+    /// reduction + sequential insertion) holds the very tree of the fully
+    /// sequential pipeline — its snapshot image is byte-identical to one
+    /// over sequentially reduced representations — and answers
+    /// bit-for-bit what `DbchTree::build_with_rule` + `DbchTree::knn`
+    /// answer.
     #[test]
     fn parallel_ingest_is_bit_identical(
         raws in db_strategy(5..25),
@@ -186,25 +183,28 @@ proptest! {
         let reducer = SaplaReducer::new();
         let reps: Vec<Representation> =
             raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
+        let seq_image = Engine::from_parts(
+            EngineConfig::default(), Box::new(SaplaReducer::new()), reps.clone(), raws.clone(),
+        ).unwrap().snapshot_image(None).unwrap();
         let seq = DbchTree::build_with_rule(
             scheme.as_ref(), reps, 2, 5, NodeDistRule::Paper,
         ).unwrap();
         let q = Query::new(&raws[0], &reducer, 12).unwrap();
         let want = seq.knn(&q, k, scheme.as_ref(), &raws).unwrap();
         for threads in [1usize, 2, 4, 7] {
-            let tree = ingest_parallel(
-                scheme.as_ref(), &reducer, &raws, 12, 2, 5,
-                NodeDistRule::Paper, threads,
-            ).unwrap();
-            prop_assert_eq!(tree.shape(), seq.shape(), "threads = {}", threads);
-            let got = tree.knn(&q, k, scheme.as_ref(), &raws).unwrap();
-            prop_assert_eq!(&got, &want, "threads = {}", threads);
+            let engine = one_shard(&raws, threads);
+            prop_assert!(
+                engine.snapshot_image(None).unwrap() == seq_image, "threads = {}", threads
+            );
+            let (got, _) = engine.knn(std::slice::from_ref(&q), k, 1).unwrap();
+            prop_assert_eq!(&got[0], &want, "threads = {}", threads);
         }
     }
 
-    /// Parallel multi-query k-NN returns, per query, bit-for-bit the
-    /// sequential answer — including exact distances and measured counts —
-    /// and its lock-free aggregate equals the per-query sum.
+    /// Multi-query k-NN through a one-shard engine returns, per query,
+    /// bit-for-bit the sequential `DbchTree::knn` answer — including
+    /// exact distances and measured counts — at every thread count, and
+    /// its batch aggregate equals the per-query sum.
     #[test]
     fn parallel_knn_batch_is_bit_identical(
         raws in db_strategy(6..25),
@@ -215,16 +215,18 @@ proptest! {
         let reducer = SaplaReducer::new();
         let reps: Vec<Representation> =
             raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
-        let tree = DbchTree::build(scheme.as_ref(), reps, 2, 5).unwrap();
+        let tree = DbchTree::build_with_rule(
+            scheme.as_ref(), reps, 2, 5, NodeDistRule::Paper,
+        ).unwrap();
         let n_queries = n_queries.min(raws.len());
-        let queries = prepare_queries(&raws[..n_queries], &reducer, 12, 2).unwrap();
+        let engine = one_shard(&raws, 2);
+        let queries = engine.prepare(&raws[..n_queries], 2).unwrap();
         let seq: Vec<_> = queries
             .iter()
             .map(|q| tree.knn(q, k, scheme.as_ref(), &raws).unwrap())
             .collect();
         for threads in [1usize, 2, 4, 7] {
-            let (got, batch) =
-                knn_batch(&tree, &queries, k, scheme.as_ref(), &raws, threads).unwrap();
+            let (got, batch) = engine.knn(&queries, k, threads).unwrap();
             prop_assert_eq!(&got, &seq, "threads = {}", threads);
             for (g, s) in got.iter().zip(&seq) {
                 for (gd, sd) in g.distances.iter().zip(&s.distances) {

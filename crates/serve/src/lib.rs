@@ -21,7 +21,7 @@
 //! waiting together ride one [`sapla_index::Engine::knn`] call. Because
 //! per-query kNN answers are independent of which batch they ride in
 //! (the engine merges per query, deterministically), a batched server
-//! is **bit-identical** to the single-process `knn_batch` path — the
+//! is **bit-identical** to a single-process `Engine::knn` call — the
 //! loopback tests pin this.
 //!
 //! Reloads swap an `Arc<Engine>` inside an `RwLock`: in-flight queries

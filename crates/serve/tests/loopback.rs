@@ -4,8 +4,8 @@
 //! The load-bearing property is pinned in
 //! [`concurrent_clients_get_bit_identical_answers`]: whatever admission
 //! batches the server happens to coalesce under concurrency, every
-//! query's answer is bit-identical to the single-process
-//! `Engine::knn` (= `knn_batch`) path.
+//! query's answer is bit-identical to a single-process `Engine::knn`
+//! call.
 
 use std::sync::Arc;
 

@@ -71,11 +71,15 @@ metrics:
 # bit-identity / quantization-bound property tests, stock and under
 # strict-invariants (which re-proves `Dist_LB ≤ exact + slack` inside
 # every refinement the snapshot-loaded trees perform), then the daemon's
-# wire snapshot/reload tests, which carry the same snapshot image.
+# wire snapshot/reload tests, which carry the same snapshot image. The
+# corrupt-image suites run in release too: the daemon ships in release,
+# where overflow checks are off and an unchecked product wraps silently.
 persist:
     cargo test -q -p sapla-store
     cargo test -q -p sapla-index --lib snapshot
     cargo test -q -p sapla-index --test snapshot_props
+    cargo test -q --release -p sapla-index --lib snapshot
+    cargo test -q --release -p sapla-index --test snapshot_props
     cargo test -q -p sapla-index --features strict-invariants --lib snapshot
     cargo test -q -p sapla-index --features strict-invariants --test snapshot_props
     cargo test -q -p sapla-serve --test loopback reload
