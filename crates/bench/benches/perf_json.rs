@@ -1,30 +1,25 @@
 //! Machine-readable perf trajectory emitter.
 //!
 //! ```text
-//! cargo bench -p sapla-bench --bench perf_json -- [--quick] [--no-plan] [--no-simd] [--json <path>]
+//! cargo bench -p sapla-bench --bench perf_json -- [--quick] [--no-simd] [--json <path>]
 //! ```
 //!
 //! Runs the `(n, segments)` reduce-throughput and ingest/k-NN grid of
 //! `sapla_bench::perf` and prints a human summary; with `--json <path>`
 //! the full report is also written as JSON (the format committed as
 //! `BENCH_PR2.json`). `--quick` switches to the tiny CI grid;
-//! `--no-plan` strips the precompiled query plans so searches take the
-//! stock re-partitioning `Dist_PAR` path (the baseline side of the
-//! planned-kernel comparison in `BENCH_PR5.json`); `--no-simd` pins the
-//! whole run to the scalar kernels and skips the scalar-vs-dispatched
-//! A/B section.
+//! `--no-simd` pins the whole run to the scalar kernels and skips the
+//! scalar-vs-dispatched A/B section.
 
 use sapla_bench::perf::{run, PerfGrid};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let no_plan = args.iter().any(|a| a == "--no-plan");
     let no_simd = args.iter().any(|a| a == "--no-simd");
     let json_path = args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1)).cloned();
 
     let mut grid = if quick { PerfGrid::quick() } else { PerfGrid::full() };
-    grid.use_plan = !no_plan;
     if no_simd {
         sapla_core::simd::force(sapla_core::simd::SimdLevel::Scalar)
             .expect("scalar is always supported");
@@ -42,11 +37,7 @@ fn main() {
             p.n, p.segments, p.ns_per_series, p.series_per_sec
         );
     }
-    println!(
-        "ingest + kNN (DBCH-tree, k = 4, plans {}, simd {}):",
-        if report.use_plan { "on" } else { "off" },
-        sapla_core::simd::active().name(),
-    );
+    println!("ingest + kNN (DBCH-tree, k = 4, simd {}):", sapla_core::simd::active().name(),);
     for (p, kp) in report.index.iter().zip(&report.knn) {
         println!(
             "  n = {:5}  N = {:2}  db = {:3}  ingest {:>12.0} ns  knn {:>12.0} ns/query  \

@@ -36,12 +36,6 @@ pub struct PerfGrid {
     /// Worker threads (`1` = the sequential baseline the trajectory
     /// tracks; parallel speedups are the thread-sweep benches' job).
     pub threads: usize,
-    /// When `false`, strip the precompiled [`sapla_index::Query`] plans
-    /// after preparation, forcing every search through the stock
-    /// re-partitioning `Dist_PAR` path (no SoA blocks, no early
-    /// abandoning). The before/after pair is how `BENCH_PR5.json`
-    /// quantifies the planned kernels.
-    pub use_plan: bool,
     /// Wire-request batch sizes (queries per kNN request) for the
     /// loopback daemon point; empty skips the serve measurement.
     pub serve_batches: Vec<usize>,
@@ -66,7 +60,6 @@ impl PerfGrid {
             index_queries: 6,
             min_time: Duration::from_millis(250),
             threads: 1,
-            use_plan: true,
             serve_batches: vec![1, 8, 64],
             simd_compare: true,
             cold_start_dbs: vec![256, 1024, 4096],
@@ -83,7 +76,6 @@ impl PerfGrid {
             index_queries: 2,
             min_time: Duration::from_millis(20),
             threads: 1,
-            use_plan: true,
             serve_batches: vec![1, 8],
             simd_compare: true,
             cold_start_dbs: vec![64, 256],
@@ -206,7 +198,7 @@ pub struct ObsOverheadPoint {
 /// One cold-start comparison: building the engine from raw series
 /// in memory (reduction + O(n log n) tree insertion) versus loading the
 /// same engine from a `sapla-store` snapshot file (O(file size) I/O +
-/// validation + one linear SoA rebuild).
+/// validation).
 #[derive(Debug, Clone)]
 pub struct ColdStartPoint {
     /// Series length.
@@ -230,8 +222,6 @@ pub struct ColdStartPoint {
 pub struct PerfReport {
     /// Worker threads used.
     pub threads: usize,
-    /// Whether query plans were used (see [`PerfGrid::use_plan`]).
-    pub use_plan: bool,
     /// Reduce-throughput grid.
     pub reduce: Vec<ReducePoint>,
     /// Ingest / k-NN grid (one point per series length).
@@ -335,15 +325,7 @@ pub fn run(grid: &PerfGrid) -> PerfReport {
         }
         let db = grid_series(n, grid.index_db);
         let (engine, ingest) = time_it(|| grid_engine(grid, db));
-        let mut queries = grid_queries(grid, n, &engine);
-        if !grid.use_plan {
-            // No plan → the scheme falls back to the stock streaming
-            // `Dist_PAR` (no SoA, no abandoning): the before side of the
-            // planned-kernel comparison.
-            for q in &mut queries {
-                q.plan = None;
-            }
-        }
+        let queries = grid_queries(grid, n, &engine);
         let before = sapla_obs::Snapshot::capture();
         let (reps, knn_ns) = measure(grid.min_time, || {
             let out = engine.knn(&queries, 4, grid.threads).expect("grid knn");
@@ -384,7 +366,6 @@ pub fn run(grid: &PerfGrid) -> PerfReport {
 
     PerfReport {
         threads: grid.threads,
-        use_plan: grid.use_plan,
         reduce,
         index,
         knn,
@@ -614,8 +595,6 @@ impl PerfReport {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n  \"threads\": ");
         s.push_str(&self.threads.to_string());
-        s.push_str(",\n  \"use_plan\": ");
-        s.push_str(if self.use_plan { "true" } else { "false" });
         s.push_str(",\n  \"reduce\": [\n");
         for (i, p) in self.reduce.iter().enumerate() {
             s.push_str(&format!(
@@ -793,17 +772,15 @@ mod tests {
     }
 
     #[test]
-    fn quick_grid_runs_without_plans() {
+    fn quick_grid_runs_without_the_simd_comparison() {
         let mut grid = PerfGrid::quick();
-        grid.use_plan = false;
-        // Also exercises the `--no-simd` shape: no A/B section, and no
-        // `simd::force` calls racing the other test in this process.
+        // The `--no-simd` shape: no A/B section, and no `simd::force`
+        // calls racing the other test in this process.
         grid.simd_compare = false;
         let report = run(&grid);
         assert!(!report.index.is_empty());
         assert!(report.simd.is_empty());
         let json = report.to_json();
-        assert!(json.contains("\"use_plan\": false"));
         assert!(json.contains("\"simd\": [\n  ]"));
     }
 }

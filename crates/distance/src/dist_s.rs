@@ -16,7 +16,7 @@ pub fn dist_s_sq(qa: f64, qb: f64, ca: f64, cb: f64, l: usize) -> f64 {
 /// `Δb = qb − cb` and the window length as a float. This is the **single**
 /// arithmetic body shared by every `Dist_S` evaluation path — the scalar
 /// [`dist_s_sq`], the streaming/buffered `Dist_PAR` walks, and the
-/// query-planned SoA kernel — so their results are bit-for-bit identical
+/// query-planned kernel — so their results are bit-for-bit identical
 /// by construction (same expression, same operation order, no fused
 /// multiply-adds: `f64::mul_add` lowers to a libm call on the baseline
 /// x86-64 target, while this form autovectorises to packed multiplies).

@@ -13,9 +13,10 @@
 //!   lower-bounding; the measure the DBCH-tree is built on.
 //! * [`plan`] — **query-compiled `Dist_PAR`**: a [`QueryPlan`] fixes the
 //!   query half of the Definition 5.1 partition once per query, and the
-//!   planned kernels evaluate candidates (AoS or SoA layout) with a
-//!   single merge-walk, optional early abandoning, and no per-call
-//!   allocation.
+//!   planned kernel evaluates each stored candidate with a single
+//!   merge-walk, optional early abandoning, and no per-call allocation.
+//!   The streaming [`dist_par`] / [`dist_par_sq_with`] stay as the
+//!   reference the kernel's bit-identity tests compare against.
 //! * [`lb`] — **`Dist_LB`** (APCA-style): project the *query's raw data*
 //!   onto the candidate's segment windows; an unconditional lower bound.
 //! * [`ae`] — **`Dist_AE`** (APCA-style): Euclidean distance between the
@@ -54,9 +55,9 @@ pub use dtw::{dtw, keogh_envelope, lb_keogh};
 pub use euclidean::{euclidean, euclidean_early_abandon, euclidean_sq};
 pub use lb::dist_lb;
 pub use paa::dist_paa;
-pub use par::{dist_par, dist_par_sq, dist_par_sq_with, AlignedWindow, ParScratch, SoaSegs};
+pub use par::{dist_par, dist_par_sq, dist_par_sq_with, AlignedWindow, ParScratch};
 pub use pla::dist_pla;
-pub use plan::{dist_par_sq_planned, dist_par_sq_planned_soa, safe_sq_bound, QueryPlan};
+pub use plan::{dist_par_sq_planned, safe_sq_bound, QueryPlan};
 pub use sax::mindist;
 
 use sapla_core::{Error, Representation, Result};

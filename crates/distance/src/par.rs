@@ -94,61 +94,12 @@ impl ParScratch {
     }
 }
 
-/// Contiguous struct-of-arrays view of a linear segmentation: parallel
-/// `slopes`/`intercepts`/`endpoints` slices, one element per segment.
-/// This is the candidate-side layout of the SoA leaf blocks in
-/// `sapla-index` — leaf refinement walks cache-linear coefficient arrays
-/// instead of pointer-hopping per-entry [`PiecewiseLinear`] structs.
-#[derive(Debug, Clone, Copy)]
-pub struct SoaSegs<'a> {
-    slopes: &'a [f64],
-    intercepts: &'a [f64],
-    endpoints: &'a [usize],
-}
-
-impl<'a> SoaSegs<'a> {
-    /// Wrap three parallel coefficient slices as a segmentation view.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::MalformedRepresentation`] when the slices are empty or
-    /// their lengths disagree. (Endpoint monotonicity is the producer's
-    /// contract, as it is for [`PiecewiseLinear::new`]'s inputs; the SoA
-    /// blocks in `sapla-index` are flattened from already-validated
-    /// representations.)
-    pub fn new(slopes: &'a [f64], intercepts: &'a [f64], endpoints: &'a [usize]) -> Result<Self> {
-        if slopes.is_empty() || slopes.len() != intercepts.len() || slopes.len() != endpoints.len()
-        {
-            return Err(Error::MalformedRepresentation {
-                reason: "SoA segmentation view needs equal-length non-empty coefficient slices",
-            });
-        }
-        Ok(SoaSegs { slopes, intercepts, endpoints })
-    }
-
-    /// Number of segments in the view.
-    pub fn num_segments(&self) -> usize {
-        self.slopes.len()
-    }
-
-    /// Number of original points the segmentation covers.
-    pub fn series_len(&self) -> usize {
-        self.endpoints[self.endpoints.len() - 1] + 1
-    }
-
-    /// The `i`-th segment as `(slope, intercept, endpoint)` — lets index
-    /// integrity checks compare a SoA view against stored segments.
-    pub fn seg(&self, i: usize) -> (f64, f64, usize) {
-        (self.slopes[i], self.intercepts[i], self.endpoints[i])
-    }
-}
-
 /// Accessor abstraction over a linear segmentation for the endpoint-union
-/// walk: implemented for `&[LinearSegment]` (the stored AoS layout), for
-/// [`SoaSegs`] (contiguous leaf blocks), and for the query side of a
-/// [`crate::plan::QueryPlan`]. Every `Dist_PAR` entry point walks windows
-/// through [`walk_windows`] over this trait, so the window sequence —
-/// and therefore the summation order — cannot diverge between layouts.
+/// walk: implemented for `&[LinearSegment]` (the stored layout) and for
+/// the query side of a [`crate::plan::QueryPlan`]. Every `Dist_PAR`
+/// entry point walks windows through [`walk_windows`] over this trait,
+/// so the window sequence — and therefore the summation order — cannot
+/// diverge between layouts.
 pub(crate) trait SegSource: Copy {
     fn count(self) -> usize;
     fn a(self, i: usize) -> f64;
@@ -168,21 +119,6 @@ impl SegSource for &[LinearSegment] {
     }
     fn r(self, i: usize) -> usize {
         self[i].r
-    }
-}
-
-impl SegSource for SoaSegs<'_> {
-    fn count(self) -> usize {
-        self.slopes.len()
-    }
-    fn a(self, i: usize) -> f64 {
-        self.slopes[i]
-    }
-    fn b(self, i: usize) -> f64 {
-        self.intercepts[i]
-    }
-    fn r(self, i: usize) -> usize {
-        self.endpoints[i]
     }
 }
 
@@ -233,8 +169,7 @@ fn for_each_window(
 
 /// The single implementation of the endpoint-union walk (Definition 5.1):
 /// visits every aligned window in order without allocating, generic over
-/// the segment layout of either side (AoS slices, SoA blocks, query
-/// plans). Callers must have checked that both sides cover the same
+/// the segment layout of either side (stored segments or a query plan). Callers must have checked that both sides cover the same
 /// number of points.
 // audit: no_alloc — the window walk must stay allocation-free.
 pub(crate) fn walk_windows<Q: SegSource, C: SegSource>(

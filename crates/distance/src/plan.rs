@@ -24,16 +24,16 @@
 //! bitwise identical across all dispatch widths. See DESIGN.md §"SIMD
 //! dispatch & query-major batching".
 
-use sapla_core::{Error, PiecewiseLinear, Result};
+use sapla_core::{Error, LinearSegment, PiecewiseLinear, Result};
 
 use crate::dist_s::dist_s_sq_terms;
-use crate::par::{walk_windows_until, ParScratch, SegSource, SoaSegs};
+use crate::par::{walk_windows_until, ParScratch, SegSource};
 
 /// A query's half of the `Dist_PAR` endpoint-union partition, compiled
 /// once per query: per-segment slopes/intercepts/endpoints plus segment
-/// start offsets, laid out contiguously. Built by `Query` preparation in
-/// `sapla-index` and threaded through tree refinement, linear scan, and
-/// the parallel k-NN engine's per-worker scratch.
+/// start offsets, laid out contiguously. Built once per query by `Query`
+/// preparation in `sapla-index`; every node bound and leaf filter of the
+/// adaptive schemes runs on it.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     slopes: Vec<f64>,
@@ -123,38 +123,8 @@ pub fn dist_par_sq_planned(
     if plan.series_len() != cand.series_len() {
         return Err(Error::LengthMismatch { left: plan.series_len(), right: cand.series_len() });
     }
-    Ok(planned_eval(plan, cand.segments(), scratch, abandon_sq))
-}
-
-/// [`dist_par_sq_planned`] over an SoA candidate view (leaf blocks).
-///
-/// # Errors
-///
-/// [`Error::LengthMismatch`] when plan and candidate cover different
-/// series lengths.
-// audit: no_alloc — a fused walk, nothing buffered.
-pub fn dist_par_sq_planned_soa(
-    plan: &QueryPlan,
-    cand: SoaSegs<'_>,
-    scratch: &mut ParScratch,
-    abandon_sq: f64,
-) -> Result<f64> {
-    if plan.series_len() != cand.series_len() {
-        return Err(Error::LengthMismatch { left: plan.series_len(), right: cand.series_len() });
-    }
-    Ok(planned_eval(plan, cand, scratch, abandon_sq))
-}
-
-/// The merge-walk behind both planned entry points, dispatching on the
-/// process-wide SIMD level (cached in [`sapla_core::simd::active`]).
-// audit: no_alloc — a fused walk over fixed stack arrays.
-fn planned_eval<C: SegSource>(
-    plan: &QueryPlan,
-    cand: C,
-    scratch: &mut ParScratch,
-    abandon_sq: f64,
-) -> f64 {
-    planned_eval_with(sapla_core::simd::active(), plan, cand, scratch, abandon_sq)
+    // The process-wide SIMD level is cached in `sapla_core::simd::active`.
+    Ok(planned_eval_with(sapla_core::simd::active(), plan, cand.segments(), scratch, abandon_sq))
 }
 
 /// Windows staged per packed term evaluation. Matches the widest vector
@@ -163,8 +133,8 @@ fn planned_eval<C: SegSource>(
 /// schedule — is identical at every level.
 const GROUP: usize = 4;
 
-/// [`planned_eval`] with the SIMD level pinned — the hook width-sweeping
-/// bit-identity tests drive.
+/// The merge-walk behind [`dist_par_sq_planned`], with the SIMD level
+/// pinned — the hook width-sweeping bit-identity tests drive.
 ///
 /// `Scalar` runs the original fused walk: one pass over the endpoint
 /// union, per-window Eq. 12 term added to a single running sum in walk
@@ -184,10 +154,10 @@ const GROUP: usize = 4;
 /// which is invisible in the result (the abandoned sentinel is `+∞`
 /// either way; only the observability window counters shift).
 // audit: no_alloc — a fused walk over fixed stack arrays.
-pub(crate) fn planned_eval_with<C: SegSource>(
+pub(crate) fn planned_eval_with(
     level: sapla_core::SimdLevel,
     plan: &QueryPlan,
-    cand: C,
+    cand: &[LinearSegment],
     scratch: &mut ParScratch,
     abandon_sq: f64,
 ) -> f64 {
@@ -232,7 +202,7 @@ pub(crate) fn planned_eval_with<C: SegSource>(
 /// single running sum in walk order, cut short the moment the partial
 /// sum exceeds `abandon_sq`. Returns `(sum, abandoned, windows)`.
 // audit: no_alloc — a single fused walk, nothing staged.
-fn scalar_walk<C: SegSource>(plan: &QueryPlan, cand: C, abandon_sq: f64) -> (f64, bool, u64) {
+fn scalar_walk(plan: &QueryPlan, cand: &[LinearSegment], abandon_sq: f64) -> (f64, bool, u64) {
     let mut sum = 0.0f64;
     let mut abandoned = false;
     let mut windows = 0u64;
@@ -254,9 +224,9 @@ fn scalar_walk<C: SegSource>(plan: &QueryPlan, cand: C, abandon_sq: f64) -> (f64
 /// the packed kernel inlines.
 // audit: no_alloc — a fused walk over fixed stack arrays.
 #[inline(always)]
-fn staged_walk<C: SegSource>(
+fn staged_walk(
     plan: &QueryPlan,
-    cand: C,
+    cand: &[LinearSegment],
     abandon_sq: f64,
     mut terms4: impl FnMut(&[f64; GROUP], &[f64; GROUP], &[f64; GROUP], &mut [f64; GROUP]),
 ) -> (f64, bool, u64) {
@@ -305,7 +275,7 @@ fn staged_walk<C: SegSource>(
 // the call; the body has no other requirement.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-fn staged_walk_sse2<C: SegSource>(plan: &QueryPlan, cand: C, abandon_sq: f64) -> (f64, bool, u64) {
+fn staged_walk_sse2(plan: &QueryPlan, cand: &[LinearSegment], abandon_sq: f64) -> (f64, bool, u64) {
     // The closure inherits this function's target feature, so the packed
     // kernel call inlines instead of going through a cross-feature call.
     staged_walk(plan, cand, abandon_sq, |da, db, lf, out| {
@@ -320,7 +290,7 @@ fn staged_walk_sse2<C: SegSource>(plan: &QueryPlan, cand: C, abandon_sq: f64) ->
 // the call; the body has no other requirement.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn staged_walk_avx2<C: SegSource>(plan: &QueryPlan, cand: C, abandon_sq: f64) -> (f64, bool, u64) {
+fn staged_walk_avx2(plan: &QueryPlan, cand: &[LinearSegment], abandon_sq: f64) -> (f64, bool, u64) {
     staged_walk(plan, cand, abandon_sq, |da, db, lf, out| {
         // SAFETY: this wrapper (and thus the closure) runs with AVX2
         // enabled — the kernel's only requirement.
@@ -332,7 +302,7 @@ fn staged_walk_avx2<C: SegSource>(plan: &QueryPlan, cand: C, abandon_sq: f64) ->
 // mandatory on AArch64, so any caller on this target already has it.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-fn staged_walk_neon<C: SegSource>(plan: &QueryPlan, cand: C, abandon_sq: f64) -> (f64, bool, u64) {
+fn staged_walk_neon(plan: &QueryPlan, cand: &[LinearSegment], abandon_sq: f64) -> (f64, bool, u64) {
     staged_walk(plan, cand, abandon_sq, |da, db, lf, out| {
         // SAFETY: this wrapper (and thus the closure) runs with NEON
         // enabled — the kernel's only requirement.
@@ -362,22 +332,6 @@ mod tests {
             let planned = dist_par_sq_planned(&plan, &c, &mut scratch, f64::INFINITY).unwrap();
             assert_eq!(reference.to_bits(), planned.to_bits());
         }
-    }
-
-    #[test]
-    fn soa_view_matches_aos_bitwise() {
-        let q = pl(&[(0.3, -1.0, 4), (-0.2, 2.0, 11), (0.0, 0.5, 15)]);
-        let c = pl(&[(0.0, 1.0, 3), (1.0, 1.0, 10), (-1.0, 8.0, 15)]);
-        let plan = QueryPlan::new(&q);
-        let slopes: Vec<f64> = c.segments().iter().map(|s| s.a).collect();
-        let intercepts: Vec<f64> = c.segments().iter().map(|s| s.b).collect();
-        let endpoints: Vec<usize> = c.segments().iter().map(|s| s.r).collect();
-        let view = SoaSegs::new(&slopes, &intercepts, &endpoints).unwrap();
-        let mut scratch = ParScratch::default();
-        let aos = dist_par_sq_planned(&plan, &c, &mut scratch, f64::INFINITY).unwrap();
-        let soa = dist_par_sq_planned_soa(&plan, view, &mut scratch, f64::INFINITY).unwrap();
-        assert_eq!(aos.to_bits(), soa.to_bits());
-        assert_eq!(aos.to_bits(), dist_par_sq(&q, &c).unwrap().to_bits());
     }
 
     #[test]
@@ -438,12 +392,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Tier-1 bit-identity pin: the planned kernels (AoS and SoA
-        /// candidate layouts, no abandoning) return the same bits as the
-        /// unplanned streaming and scratch-buffered paths on arbitrary
-        /// interleaved segmentations; with an abandon bound, survivors
-        /// keep the exact bits and abandoned candidates are exactly the
-        /// ones the reference comparison would prune.
+        /// Tier-1 bit-identity pin: the planned kernel (no abandoning)
+        /// returns the same bits as the unplanned streaming and
+        /// scratch-buffered paths on arbitrary interleaved
+        /// segmentations; with an abandon bound, survivors keep the exact
+        /// bits and abandoned candidates are exactly the ones the
+        /// reference comparison would prune.
         #[test]
         fn planned_paths_are_bit_identical_and_abandon_safely(
             len in 16usize..96,
@@ -462,15 +416,8 @@ mod tests {
             let buffered = dist_par_sq_with(&mut scratch, &q, &c).unwrap();
             let planned =
                 dist_par_sq_planned(&plan, &c, &mut scratch, f64::INFINITY).unwrap();
-            let slopes: Vec<f64> = c.segments().iter().map(|s| s.a).collect();
-            let intercepts: Vec<f64> = c.segments().iter().map(|s| s.b).collect();
-            let endpoints: Vec<usize> = c.segments().iter().map(|s| s.r).collect();
-            let view = SoaSegs::new(&slopes, &intercepts, &endpoints).unwrap();
-            let soa =
-                dist_par_sq_planned_soa(&plan, view, &mut scratch, f64::INFINITY).unwrap();
             proptest::prop_assert!(reference.to_bits() == buffered.to_bits());
             proptest::prop_assert!(reference.to_bits() == planned.to_bits());
-            proptest::prop_assert!(reference.to_bits() == soa.to_bits());
 
             // Abandoning agreement: prune iff the reference would prune.
             let threshold = reference.sqrt() * frac;

@@ -8,16 +8,16 @@
 //! therefore each live in one function.
 //!
 //! **k-NN, query-major.** A query-at-a-time driver streams every
-//! surviving leaf block through the planned kernel once per query, so
-//! with `Q` queries each leaf block is pulled through the cache up to
-//! `Q` times. This driver flips the inner loop. A block of queries
-//! advances in *rounds*: in each round every still-active query walks
-//! its own best-first frontier (internal nodes expanded inline) until it
-//! yields its next leaf; the pending `(leaf, query)` pairs are then
-//! sorted by leaf and evaluated leaf-by-leaf, so all queries that
-//! reached the same leaf in the same round run over its
-//! slopes/intercepts/endpoints back-to-back. A single query is a block
-//! of one ([`knn_single`], behind `DbchTree::knn` and `RTree::knn`).
+//! surviving leaf's stored representations through the planned kernel
+//! once per query, so with `Q` queries each leaf is pulled through the
+//! cache up to `Q` times. This driver flips the inner loop. A block of
+//! queries advances in *rounds*: in each round every still-active query
+//! walks its own best-first frontier (internal nodes expanded inline)
+//! until it yields its next leaf; the pending `(leaf, query)` pairs are
+//! then sorted by leaf and evaluated leaf-by-leaf, so all queries that
+//! reached the same leaf in the same round run over its stored segments
+//! back-to-back. A single query is a block of one ([`knn_single`],
+//! behind `DbchTree::knn` and `RTree::knn`).
 //!
 //! **Bit-identity.** Each query's result is a pure function of the tree
 //! and its own search state — candidate heap, node queue, thresholds —
@@ -43,7 +43,6 @@ use sapla_distance::{euclidean_early_abandon, safe_sq_bound, ParScratch};
 
 use crate::knn::{HullMemo, KnnHeap, SearchStats, SearchTally};
 use crate::scheme::{Query, Scheme};
-use crate::soa::LeafBlock;
 
 /// How many queries ride in one co-scheduled block of an
 /// [`crate::Engine::knn`] batch. Large enough that shared leaves
@@ -71,8 +70,6 @@ pub(crate) trait BatchTree {
     fn reps(&self) -> &[Representation];
     /// Children of an internal node / entries of a leaf.
     fn node_view(&self, nid: usize) -> NodeView<'_>;
-    /// The leaf's SoA mirror, if coherent with `n_entries` entries.
-    fn leaf_block(&self, nid: usize, n_entries: usize) -> Option<&LeafBlock>;
     /// Query-to-node bound (hull rule / MINDIST). The DBCH-tree records
     /// the squared hull-representative distances it computes in `memo`
     /// for bitwise replay at the leaf filter; the R-tree's MINDIST has
@@ -198,10 +195,10 @@ impl BlockScratch {
 }
 
 /// Evaluate leaf `nid`'s entries for one query: representation filter
-/// (SoA planned kernel when the query carries a plan and the leaf's
-/// block is coherent, AoS otherwise) then early-abandoning exact
-/// refinement, with every survivor offered to `sink`. This is the one
-/// copy of the leaf body; both traversals call it.
+/// over the stored representations (the planned `Dist_PAR` kernel for
+/// linear schemes) then early-abandoning exact refinement, with every
+/// survivor offered to `sink`. This is the one copy of the leaf body;
+/// both traversals call it.
 #[allow(clippy::too_many_arguments)] // the flattened per-query search state
 fn eval_leaf<T: BatchTree + ?Sized, S: HitSink>(
     tree: &T,
@@ -217,12 +214,10 @@ fn eval_leaf<T: BatchTree + ?Sized, S: HitSink>(
     let NodeView::Leaf(entries) = tree.node_view(nid) else {
         unreachable!("only leaves are evaluated")
     };
-    let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-    let block = if use_soa { tree.leaf_block(nid, entries.len()) } else { None };
     let reps = tree.reps();
     let lb_slack = tree.lb_slack();
     tally.consider(entries.len());
-    for (j, &e) in entries.iter().enumerate() {
+    for &e in entries {
         let threshold = sink.threshold();
         // Quantized-lineage trees store reps perturbed by up to
         // `lb_slack` in the windowed metric, so their Dist_LB can
@@ -247,10 +242,7 @@ fn eval_leaf<T: BatchTree + ?Sized, S: HitSink>(
             sapla_obs::counter!("index.hull_memo.hits");
             kept
         } else {
-            match block {
-                Some(b) => scheme.rep_dist_pruned_soa(q, b.entry(j)?, prune_at, dist)?,
-                None => scheme.rep_dist_pruned(q, &reps[e], prune_at, dist)?,
-            }
+            scheme.rep_dist_pruned(q, &reps[e], prune_at, dist)?
         };
         if kept.is_some() {
             tally.measure();
@@ -395,9 +387,9 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
             break;
         }
         // Evaluate phase: group this round's pending pairs by leaf, so
-        // a leaf's SoA block is fetched once and stays hot for every
-        // query that reached it; within a leaf, queries run in query
-        // order ((nid, qi) sort — deterministic, pairs are distinct).
+        // a leaf's stored representations are fetched once and stay hot
+        // for every query that reached it; within a leaf, queries run in
+        // query order ((nid, qi) sort — deterministic, pairs are distinct).
         pending.sort_unstable();
         for group in pending.chunk_by(|a, b| a.0 == b.0) {
             sapla_obs::counter!("sapla.knn.leaf_batches");
@@ -428,7 +420,10 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
     }
     let mut out = Vec::with_capacity(queries.len());
     for (qi, tally) in tallies.into_iter().enumerate() {
-        let (mut retrieved, mut distances) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        // At most min(k, entries) hits: `k` alone is client-controlled
+        // and may be far beyond what any allocation can hold.
+        let hits = k.min(tree.reps().len());
+        let (mut retrieved, mut distances) = (Vec::with_capacity(hits), Vec::with_capacity(hits));
         scratches[qi].results.drain_into(&mut retrieved, &mut distances);
         out.push(SearchStats {
             retrieved,

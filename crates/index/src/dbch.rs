@@ -14,7 +14,6 @@ use sapla_core::{Representation, Result, TimeSeries};
 
 use crate::knn::{HullMemo, SearchStats};
 use crate::scheme::{Query, Scheme};
-use crate::soa::LeafBlock;
 use crate::stats::TreeShape;
 
 /// How the query-to-node distance of Section 5.3 is computed.
@@ -79,10 +78,6 @@ pub struct DbchTree {
     nodes: Vec<Node>,
     reps: Vec<Representation>,
     rule: NodeDistRule,
-    /// Per-node SoA leaf blocks (parallel to `nodes`), refreshed at every
-    /// leaf mutation; leaf refinement takes the cache-linear planned
-    /// kernel through them when the query carries a plan.
-    blocks: Vec<LeafBlock>,
     /// Additive `Dist_LB` slack for the strict-invariants audit: `0.0`
     /// for built trees, the maximum per-record quantization perturbation
     /// (in the windowed metric) for trees loaded from quantized
@@ -147,10 +142,8 @@ impl DbchTree {
             }],
             reps,
             rule,
-            blocks: Vec::new(),
             lb_slack: 0.0,
         };
-        tree.refresh_block(0);
         for id in 0..tree.reps.len() {
             tree.insert_entry(id, scheme)?;
         }
@@ -223,7 +216,6 @@ impl DbchTree {
         if root_empty {
             self.nodes[self.root].kind = NodeKind::Leaf(vec![]);
             self.nodes[self.root].hull = Hull { u: 0, l: 0, volume: 0.0 };
-            self.refresh_block(self.root);
         }
         loop {
             let next = match &self.nodes[self.root].kind {
@@ -275,8 +267,8 @@ impl DbchTree {
 
     /// Reassemble a tree from persisted parts without re-running the
     /// O(n log n) insertion build: the node arena is adopted verbatim
-    /// after a structural walk, then the SoA leaf blocks are rebuilt in
-    /// one linear pass. Every malformed input is an `Err`, never a panic.
+    /// after a structural walk. Every malformed input is an `Err`, never
+    /// a panic.
     ///
     /// Validated here: fill-factor sanity, root in range, the graph
     /// under `root` is a tree (no node visited twice) covering the whole
@@ -360,12 +352,7 @@ impl DbchTree {
                 kind: if n.is_leaf { NodeKind::Leaf(n.ids) } else { NodeKind::Internal(n.ids) },
             })
             .collect::<Vec<_>>();
-        let mut tree =
-            DbchTree { min_fill, max_fill, root, nodes, reps, rule, blocks: Vec::new(), lb_slack };
-        for nid in 0..tree.nodes.len() {
-            tree.refresh_block(nid);
-        }
-        Ok(tree)
+        Ok(DbchTree { min_fill, max_fill, root, nodes, reps, rule, lb_slack })
     }
 
     /// Full structural integrity check, for stress tests and post-reload
@@ -376,10 +363,7 @@ impl DbchTree {
     /// * each node's hull endpoints are reachable members of its subtree
     ///   and the stored volume equals `Dist_PAR(u, l)` **bitwise**,
     /// * each hull's volume equals a fresh recomputation over the node's
-    ///   current membership (bitwise — hulls may not go stale),
-    /// * every all-linear leaf's SoA [`LeafBlock`] mirrors its entry list
-    ///   coefficient-for-coefficient; internal nodes' blocks are
-    ///   invalidated.
+    ///   current membership (bitwise — hulls may not go stale).
     ///
     /// # Errors
     ///
@@ -432,7 +416,6 @@ impl DbchTree {
                 if self.leaf_hull(scheme, entries)?.volume.to_bits() != h.volume.to_bits() {
                     return Err(corrupt("stale leaf hull volume"));
                 }
-                self.validate_block(node, entries)?;
                 seen.extend_from_slice(entries);
                 Ok(())
             }
@@ -455,9 +438,6 @@ impl DbchTree {
                 if self.internal_hull(scheme, children)?.volume.to_bits() != h.volume.to_bits() {
                     return Err(corrupt("stale internal hull volume"));
                 }
-                if self.blocks.get(node).is_some_and(LeafBlock::is_ok) {
-                    return Err(corrupt("internal node still carries a live leaf block"));
-                }
                 let before = seen.len();
                 for &c in children {
                     self.validate_rec(c, scheme, seen)?;
@@ -468,46 +448,6 @@ impl DbchTree {
                 Ok(())
             }
         }
-    }
-
-    /// Check one leaf's SoA block against its entry list (see
-    /// [`DbchTree::validate`]).
-    fn validate_block(&self, node: usize, entries: &[usize]) -> Result<()> {
-        fn corrupt(reason: &'static str) -> sapla_core::Error {
-            sapla_core::Error::CorruptIndex { reason }
-        }
-        let all_linear = entries.iter().all(|&e| self.reps[e].as_linear().is_some());
-        let Some(block) = self.blocks.get(node) else {
-            return Err(corrupt("leaf without a block slot"));
-        };
-        if !all_linear {
-            if block.is_ok() {
-                return Err(corrupt("leaf block live over non-linear entries"));
-            }
-            return Ok(());
-        }
-        if !block.is_ok() {
-            return Err(corrupt("leaf block invalidated for an all-linear leaf"));
-        }
-        if block.num_entries() != entries.len() {
-            return Err(corrupt("leaf block entry count out of sync"));
-        }
-        for (j, &e) in entries.iter().enumerate() {
-            let Some(lin) = self.reps[e].as_linear() else {
-                return Err(corrupt("leaf block entry lost its linear representation"));
-            };
-            let view = block.entry(j)?;
-            if view.num_segments() != lin.num_segments() {
-                return Err(corrupt("leaf block segment count out of sync"));
-            }
-            for (i, seg) in lin.segments().iter().enumerate() {
-                let (a, b, r) = view.seg(i);
-                if a.to_bits() != seg.a.to_bits() || b.to_bits() != seg.b.to_bits() || r != seg.r {
-                    return Err(corrupt("leaf block coefficients out of sync"));
-                }
-            }
-        }
-        Ok(())
     }
 
     fn collect_entries(&self, node: usize, out: &mut Vec<usize>) {
@@ -541,18 +481,15 @@ impl DbchTree {
                     };
                     entries.remove(pos);
                     if entries.is_empty() {
-                        self.blocks[node].invalidate();
                         return Ok((true, true));
                     }
                     if entries.len() < self.min_fill && !is_root {
                         orphans.append(entries);
-                        self.blocks[node].invalidate();
                         return Ok((true, true));
                     }
                     entries.clone()
                 };
                 self.nodes[node].hull = self.leaf_hull(scheme, &remaining)?;
-                self.refresh_block(node);
                 Ok((true, false))
             }
             NodeKind::Internal(children) => {
@@ -604,27 +541,12 @@ impl DbchTree {
         scheme.pair_dist(&self.reps[a], &self.reps[b])
     }
 
-    /// Mirror a node into its SoA leaf block (see [`LeafBlock`]): leaves
-    /// get their entry coefficients flattened, internal slots are marked
-    /// unusable. Called at every site that mutates a leaf's entry list,
-    /// keeping `blocks` parallel to `nodes`.
-    fn refresh_block(&mut self, node: usize) {
-        if self.blocks.len() < self.nodes.len() {
-            self.blocks.resize_with(self.nodes.len(), LeafBlock::default);
-        }
-        match &self.nodes[node].kind {
-            NodeKind::Leaf(entries) => self.blocks[node].rebuild(entries, &self.reps),
-            NodeKind::Internal(_) => self.blocks[node].invalidate(),
-        }
-    }
-
     fn insert_entry(&mut self, id: usize, scheme: &dyn Scheme) -> Result<()> {
         if let Some(sibling) = self.insert_rec(self.root, id, scheme)? {
             let old_root = self.root;
             let hull = self.internal_hull(scheme, &[old_root, sibling])?;
             self.nodes.push(Node { hull, kind: NodeKind::Internal(vec![old_root, sibling]) });
             self.root = self.nodes.len() - 1;
-            self.refresh_block(self.root);
         }
         Ok(())
     }
@@ -643,7 +565,6 @@ impl DbchTree {
                     Ok(Some(self.split_leaf(node, scheme)?))
                 } else {
                     self.nodes[node].hull = self.leaf_hull(scheme, &entries)?;
-                    self.refresh_block(node);
                     Ok(None)
                 }
             }
@@ -752,10 +673,7 @@ impl DbchTree {
         let hb = self.leaf_hull(scheme, &gb)?;
         self.nodes[node] = Node { hull: ha, kind: NodeKind::Leaf(ga) };
         self.nodes.push(Node { hull: hb, kind: NodeKind::Leaf(gb) });
-        let sibling = self.nodes.len() - 1;
-        self.refresh_block(node);
-        self.refresh_block(sibling);
-        Ok(sibling)
+        Ok(self.nodes.len() - 1)
     }
 
     fn split_internal(&mut self, node: usize, scheme: &dyn Scheme) -> Result<usize> {
@@ -802,10 +720,7 @@ impl DbchTree {
         let hb = self.internal_hull(scheme, &gb)?;
         self.nodes[node] = Node { hull: ha, kind: NodeKind::Internal(ga) };
         self.nodes.push(Node { hull: hb, kind: NodeKind::Internal(gb) });
-        let sibling = self.nodes.len() - 1;
-        self.refresh_block(node);
-        self.refresh_block(sibling);
-        Ok(sibling)
+        Ok(self.nodes.len() - 1)
     }
 
     /// Distance from the query to one hull representative, memoised per
@@ -902,9 +817,6 @@ impl crate::batched::BatchTree for DbchTree {
             NodeKind::Internal(c) => crate::batched::NodeView::Internal(c),
             NodeKind::Leaf(e) => crate::batched::NodeView::Leaf(e),
         }
-    }
-    fn leaf_block(&self, nid: usize, n_entries: usize) -> Option<&LeafBlock> {
-        self.blocks.get(nid).filter(|b| b.is_ok() && b.num_entries() == n_entries)
     }
     fn node_bound(
         &self,
@@ -1008,17 +920,6 @@ mod tests {
             other => panic!("unexpected error: {other:?}"),
         }
 
-        // Plant a desynchronised leaf block (stale coefficients).
-        let (mut bad, scheme) = build_sapla(&raws, 12);
-        let leaf = (0..bad.nodes.len())
-            .find(|&n| matches!(&bad.nodes[n].kind, NodeKind::Leaf(e) if !e.is_empty()))
-            .unwrap();
-        bad.blocks[leaf].rebuild(&[0], &bad.reps);
-        match bad.validate(scheme.as_ref()).unwrap_err() {
-            Error::CorruptIndex { reason } => assert!(reason.contains("block"), "{reason}"),
-            other => panic!("unexpected error: {other:?}"),
-        }
-
         // Plant a duplicated entry id across two leaves.
         let (mut bad, scheme) = build_sapla(&raws, 12);
         let leaves: Vec<usize> = (0..bad.nodes.len())
@@ -1037,7 +938,6 @@ mod tests {
             NodeKind::Internal(_) => unreachable!(),
         };
         bad.nodes[leaves[1]].hull = bad.leaf_hull(scheme.as_ref(), &entries).unwrap();
-        bad.refresh_block(leaves[1]);
         // Which invariant fires first depends on tree layout (the theft
         // can surface as a duplicate id, an overfull leaf, or a stale
         // ancestor hull) — any CorruptIndex is a successful detection.

@@ -598,7 +598,7 @@ mod tests {
 
     #[test]
     fn batch_errors_surface_first_by_query_order() {
-        // Queries over a different series length fail in rep_dist with a
+        // Queries over a different series length fail in the rep distance with a
         // LengthMismatch carrying the query length. Plant two failing
         // lengths in different query blocks and check that query 2's
         // error wins at every thread count, over one and three shards.

@@ -153,11 +153,15 @@ pub(crate) struct KnnHeap {
 }
 
 impl KnnHeap {
-    pub fn new(k: usize) -> Self {
+    /// A heap for the `k` best of at most `entries` candidates. The
+    /// up-front reservation is `min(k, entries) + 1`: `k` alone is
+    /// caller-controlled and may be far beyond any allocation.
+    pub fn new(k: usize, entries: usize) -> Self {
+        let cap = k.min(entries) + 1;
         KnnHeap {
             k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
-            sort_buf: Vec::with_capacity(k + 1),
+            heap: std::collections::BinaryHeap::with_capacity(cap),
+            sort_buf: Vec::with_capacity(cap),
         }
     }
 
@@ -171,7 +175,7 @@ impl KnnHeap {
         }
     }
 
-    // audit: no_alloc — capacity k+1 is reserved up front.
+    // audit: no_alloc — capacity min(k, entries)+1 is reserved up front.
     pub fn push(&mut self, dist: f64, id: usize) {
         self.heap.push((sapla_core::OrdF64::new(dist), id));
         if self.heap.len() > self.k {
@@ -181,12 +185,6 @@ impl KnnHeap {
 
     /// Drain into (ids, distances), closest first.
     pub fn into_sorted(mut self) -> (Vec<usize>, Vec<f64>) {
-        self.drain_sorted()
-    }
-
-    /// Drain into (ids, distances), closest first, keeping the heap's
-    /// allocation for reuse.
-    pub fn drain_sorted(&mut self) -> (Vec<usize>, Vec<f64>) {
         let (mut ids, mut dists) = (Vec::new(), Vec::new());
         self.drain_into(&mut ids, &mut dists);
         (ids, dists)
@@ -219,7 +217,7 @@ impl Default for KnnHeap {
     /// A zero-capacity heap: a usable placeholder that
     /// [`KnnHeap::reset`] re-arms to the real `k` before every search.
     fn default() -> Self {
-        KnnHeap::new(0)
+        KnnHeap::new(0, 0)
     }
 }
 
@@ -308,16 +306,23 @@ mod tests {
     }
 
     #[test]
-    fn drain_into_reuses_buffers_and_matches_drain_sorted() {
-        let mut h = KnnHeap::new(3);
+    fn drain_into_reuses_buffers_and_matches_into_sorted() {
+        let fill = |h: &mut KnnHeap| {
+            for (d, id) in [(4.0, 7), (2.0, 1), (9.0, 5), (3.0, 2)] {
+                h.push(d, id);
+            }
+        };
+        let mut fresh = KnnHeap::new(3, 4);
+        fill(&mut fresh);
+        let want = fresh.into_sorted();
+        let mut h = KnnHeap::new(3, 4);
         let mut ids = vec![99, 98]; // stale content must be cleared
         let mut dists = vec![-1.0];
         for round in 0..3 {
             h.reset(3);
-            for (d, id) in [(4.0, 7), (2.0, 1), (9.0, 5), (3.0, 2)] {
-                h.push(d + round as f64 * 0.0, id);
-            }
+            fill(&mut h);
             h.drain_into(&mut ids, &mut dists);
+            assert_eq!((ids.clone(), dists.clone()), want, "round {round}");
             assert_eq!(ids, vec![1, 2, 7], "round {round}");
             assert_eq!(dists, vec![2.0, 3.0, 4.0], "round {round}");
         }
@@ -325,7 +330,7 @@ mod tests {
 
     #[test]
     fn knn_heap_keeps_k_best() {
-        let mut h = KnnHeap::new(2);
+        let mut h = KnnHeap::new(2, 3);
         assert_eq!(h.threshold(), f64::INFINITY);
         h.push(5.0, 0);
         h.push(1.0, 1);

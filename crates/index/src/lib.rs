@@ -35,7 +35,6 @@ mod reference;
 pub mod rtree;
 pub mod scheme;
 pub(crate) mod snapshot;
-pub(crate) mod soa;
 pub mod stats;
 
 pub use batched::DEFAULT_QUERY_BLOCK;

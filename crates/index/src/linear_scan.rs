@@ -14,7 +14,7 @@ use crate::knn::{KnnHeap, SearchStats, SearchTally};
 ///
 /// Propagates length mismatches.
 pub fn linear_scan_knn(query: &TimeSeries, raws: &[TimeSeries], k: usize) -> Result<SearchStats> {
-    let mut results = KnnHeap::new(k);
+    let mut results = KnnHeap::new(k, raws.len());
     let mut tally = SearchTally::default();
     tally.consider(raws.len());
     for (i, s) in raws.iter().enumerate() {

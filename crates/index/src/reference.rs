@@ -30,13 +30,12 @@ impl Target<'_> {
     }
 }
 
-/// The old per-leaf body: filter every entry (memo replay, SoA or AoS
-/// kernel, all widened by the tree's slack), refine the survivors with
-/// early abandoning, and count `measured`.
+/// The old per-leaf body: filter every entry (memo replay or the
+/// scheme's filter, both widened by the tree's slack), refine the
+/// survivors with early abandoning, and count `measured`.
 #[allow(clippy::too_many_arguments)]
 fn leaf<T: BatchTree + ?Sized>(
     tree: &T,
-    nid: usize,
     entries: &[usize],
     q: &Query,
     scheme: &dyn Scheme,
@@ -46,17 +45,13 @@ fn leaf<T: BatchTree + ?Sized>(
     memo: &HullMemo,
     measured: &mut usize,
 ) -> Result<()> {
-    let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-    let block = tree.leaf_block(nid, entries.len()).filter(|_| use_soa);
-    for (j, &e) in entries.iter().enumerate() {
+    for &e in entries {
         let threshold = target.threshold();
         let prune_at = threshold + tree.lb_slack();
         let kept = if matches!(target, Target::Knn(_)) && threshold.is_infinite() {
             Some(f64::INFINITY)
         } else if let Some(kept) = memo.filter(e, prune_at) {
             kept
-        } else if let Some(b) = block {
-            scheme.rep_dist_pruned_soa(q, b.entry(j)?, prune_at, dist)?
         } else {
             scheme.rep_dist_pruned(q, &tree.reps()[e], prune_at, dist)?
         };
@@ -90,7 +85,7 @@ pub(crate) fn knn<T: BatchTree + ?Sized>(
     scheme: &dyn Scheme,
     raws: &[TimeSeries],
 ) -> Result<SearchStats> {
-    let mut results = KnnHeap::new(k);
+    let mut results = KnnHeap::new(k, tree.reps().len());
     let mut heap = BinaryHeap::new();
     let mut dist = ParScratch::default();
     let mut memo = HullMemo::default();
@@ -115,18 +110,7 @@ pub(crate) fn knn<T: BatchTree + ?Sized>(
             }
             NodeView::Leaf(entries) => {
                 let mut target = Target::Knn(&mut results);
-                leaf(
-                    tree,
-                    nid,
-                    entries,
-                    q,
-                    scheme,
-                    raws,
-                    &mut target,
-                    &mut dist,
-                    &memo,
-                    &mut measured,
-                )?;
+                leaf(tree, entries, q, scheme, raws, &mut target, &mut dist, &memo, &mut measured)?;
             }
         }
     }
@@ -157,18 +141,7 @@ pub(crate) fn range<T: BatchTree + ?Sized>(
             NodeView::Internal(children) => stack.extend(children.iter().copied()),
             NodeView::Leaf(entries) => {
                 let mut target = Target::Range(epsilon, &mut hits);
-                leaf(
-                    tree,
-                    nid,
-                    entries,
-                    q,
-                    scheme,
-                    raws,
-                    &mut target,
-                    &mut dist,
-                    &memo,
-                    &mut measured,
-                )?;
+                leaf(tree, entries, q, scheme, raws, &mut target, &mut dist, &memo, &mut measured)?;
             }
         }
     }
@@ -278,36 +251,25 @@ mod tests {
         }
     }
 
-    /// Queries over the first few series; `planned = false` strips the
-    /// plan so the AoS filter path runs instead of the SoA kernel.
-    fn queries(raws: &[TimeSeries], reducer: &dyn Reducer, planned: bool) -> Vec<Query> {
-        raws.iter()
-            .take(5)
-            .map(|r| {
-                let mut q = Query::new(r, reducer, 12).unwrap();
-                if !planned {
-                    q.plan = None;
-                }
-                q
-            })
-            .collect()
+    /// Queries over the first few series.
+    fn queries(raws: &[TimeSeries], reducer: &dyn Reducer) -> Vec<Query> {
+        raws.iter().take(5).map(|r| Query::new(r, reducer, 12).unwrap()).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// `DbchTree::knn`/`range` and `RTree::knn`/`range` against the
-        /// reference walks, under both node rules, with and without the
-        /// planned SoA kernels; plus multi-query blocks of every size.
+        /// reference walks, under both node rules; plus multi-query
+        /// blocks of every size.
         #[test]
         fn tree_searches_match_reference(
             raws in db_strategy(2..40),
             k in 1usize..8,
             epsilon in 0.0f64..9.0,
             triangle in 0usize..2,
-            planned in 0usize..2,
         ) {
-            let (triangle, planned) = (triangle == 1, planned == 1);
+            let triangle = triangle == 1;
             let reducer = SaplaReducer::new();
             let scheme = scheme_for("SAPLA").unwrap();
             let reps: Vec<Representation> =
@@ -316,7 +278,7 @@ mod tests {
                 DbchTree::build_with_rule(scheme.as_ref(), reps.clone(), 2, 5, rule_of(triangle))
                     .unwrap();
             let rtree = RTree::build(scheme.as_ref(), reps, 2, 5).unwrap();
-            let qs = queries(&raws, &reducer, planned);
+            let qs = queries(&raws, &reducer);
             let s = scheme.as_ref();
             for (qi, q) in qs.iter().enumerate() {
                 let ctx = format!("query {qi}, k {k}, eps {epsilon}, triangle {triangle}");

@@ -12,7 +12,6 @@ use sapla_core::{Representation, Result, TimeSeries};
 use crate::knn::SearchStats;
 use crate::rect::HyperRect;
 use crate::scheme::{Query, Scheme};
-use crate::soa::LeafBlock;
 use crate::stats::TreeShape;
 
 #[derive(Debug, Clone)]
@@ -70,10 +69,6 @@ pub struct RTree {
     nodes: Vec<Node>,
     reps: Vec<Representation>,
     features: Vec<Vec<f64>>,
-    /// Per-node SoA leaf blocks (parallel to `nodes`), refreshed at every
-    /// leaf mutation; only consulted when the scheme supports the planned
-    /// `Dist_PAR` kernels and the query carries a plan.
-    blocks: Vec<LeafBlock>,
 }
 
 impl RTree {
@@ -105,9 +100,7 @@ impl RTree {
             }],
             reps,
             features,
-            blocks: Vec::new(),
         };
-        tree.refresh_block(0);
         for id in 0..tree.reps.len() {
             tree.insert_entry(id);
         }
@@ -144,14 +137,11 @@ impl RTree {
             }],
             reps,
             features,
-            blocks: Vec::new(),
         };
         if tree.reps.is_empty() {
-            tree.refresh_block(0);
             return Ok(tree);
         }
         tree.nodes.clear();
-        tree.blocks.clear();
 
         // Pack entries into leaves, ordered by the first feature dim.
         let mut order: Vec<usize> = (0..tree.reps.len()).collect();
@@ -194,9 +184,6 @@ impl RTree {
             level = next;
         }
         tree.root = level[0];
-        for node in 0..tree.nodes.len() {
-            tree.refresh_block(node);
-        }
         Ok(tree)
     }
 
@@ -267,7 +254,6 @@ impl RTree {
         }
         if root_empty {
             self.nodes[self.root].kind = NodeKind::Leaf(vec![]);
-            self.refresh_block(self.root);
         }
         // Shrink a root that lost all but one child.
         loop {
@@ -336,9 +322,8 @@ impl RTree {
 
     /// Reassemble a tree from persisted parts without re-running the
     /// insertion build *or* feature extraction: nodes, rectangles and
-    /// feature vectors are adopted verbatim after a structural walk,
-    /// then the SoA leaf blocks are rebuilt in one linear pass. Every
-    /// malformed input is an `Err`, never a panic.
+    /// feature vectors are adopted verbatim after a structural walk.
+    /// Every malformed input is an `Err`, never a panic.
     ///
     /// Validated here: fill-factor sanity, root in range, the graph
     /// under `root` is a tree covering the whole arena, internal fanout
@@ -423,12 +408,7 @@ impl RTree {
                 kind: if n.is_leaf { NodeKind::Leaf(n.ids) } else { NodeKind::Internal(n.ids) },
             })
             .collect::<Vec<_>>();
-        let mut tree =
-            RTree { min_fill, max_fill, root, nodes, reps, features, blocks: Vec::new() };
-        for nid in 0..tree.nodes.len() {
-            tree.refresh_block(nid);
-        }
-        Ok(tree)
+        Ok(RTree { min_fill, max_fill, root, nodes, reps, features })
     }
 
     /// Returns `(found, this node should be detached)`.
@@ -450,13 +430,9 @@ impl RTree {
                     }
                 }
                 if detach {
-                    if let Some(b) = self.blocks.get_mut(node) {
-                        b.invalidate();
-                    }
                     return (true, true);
                 }
                 self.recompute_rect(node);
-                self.refresh_block(node);
                 (true, false)
             }
             NodeKind::Internal(children) => {
@@ -505,20 +481,6 @@ impl RTree {
         HyperRect::point(&self.features[id])
     }
 
-    /// Mirror a node into its SoA leaf block (see [`LeafBlock`]): leaves
-    /// get their entry coefficients flattened, internal slots are marked
-    /// unusable. Called at every site that mutates a leaf's entry list,
-    /// keeping `blocks` parallel to `nodes`.
-    fn refresh_block(&mut self, node: usize) {
-        if self.blocks.len() < self.nodes.len() {
-            self.blocks.resize_with(self.nodes.len(), LeafBlock::default);
-        }
-        match &self.nodes[node].kind {
-            NodeKind::Leaf(entries) => self.blocks[node].rebuild(entries, &self.reps),
-            NodeKind::Internal(_) => self.blocks[node].invalidate(),
-        }
-    }
-
     fn insert_entry(&mut self, id: usize) {
         let rect = self.entry_rect(id);
         if let NodeKind::Leaf(entries) = &self.nodes[self.root].kind {
@@ -527,7 +489,6 @@ impl RTree {
                 if let NodeKind::Leaf(entries) = &mut self.nodes[self.root].kind {
                     entries.push(id);
                 }
-                self.refresh_block(self.root);
                 return;
             }
         }
@@ -538,7 +499,6 @@ impl RTree {
             self.nodes
                 .push(Node { rect: new_rect, kind: NodeKind::Internal(vec![old_root, sibling]) });
             self.root = self.nodes.len() - 1;
-            self.refresh_block(self.root);
         }
     }
 
@@ -553,7 +513,6 @@ impl RTree {
                 if self.leaf_len(node) > self.max_fill {
                     Some(self.split_leaf(node))
                 } else {
-                    self.refresh_block(node);
                     None
                 }
             }
@@ -640,8 +599,6 @@ impl RTree {
         });
         let sib = self.nodes.len() - 1;
         self.recompute_rect(sib);
-        self.refresh_block(node);
-        self.refresh_block(sib);
         sib
     }
 
@@ -708,9 +665,6 @@ impl crate::batched::BatchTree for RTree {
             NodeKind::Internal(c) => crate::batched::NodeView::Internal(c),
             NodeKind::Leaf(e) => crate::batched::NodeView::Leaf(e),
         }
-    }
-    fn leaf_block(&self, nid: usize, n_entries: usize) -> Option<&LeafBlock> {
-        self.blocks.get(nid).filter(|b| b.is_ok() && b.num_entries() == n_entries)
     }
     fn node_bound(
         &self,

@@ -9,30 +9,27 @@
 
 use sapla_baselines::sax::gaussian_breakpoints;
 use sapla_baselines::{ReduceScratch, Reducer};
-use sapla_core::{Error, PrefixSums, Representation, Result, TimeSeries};
+use sapla_core::{Error, Representation, Result, TimeSeries};
 use sapla_distance::{
-    dist_paa, dist_par, dist_par_sq_planned, dist_par_sq_planned_soa, dist_par_sq_with, dist_pla,
-    dist_s_sq, mindist, rep_distance, safe_sq_bound, QueryPlan, SoaSegs,
+    dist_paa, dist_par_sq_planned, dist_pla, dist_s_sq, mindist, rep_distance, safe_sq_bound,
+    ParScratch, QueryPlan,
 };
 
 use crate::rect::HyperRect;
 
-/// A query prepared for index search: raw series, its prefix sums, its
-/// reduced representation under the indexed method, and — for linear
-/// representations — the query-compiled `Dist_PAR` plan.
+/// A query prepared for index search: the raw series, its reduced
+/// representation under the indexed method, and — for every linear
+/// representation — its query-compiled `Dist_PAR` plan, which every
+/// representation distance of the adaptive schemes runs on.
 #[derive(Debug, Clone)]
 pub struct Query {
     /// The raw query series.
     pub raw: TimeSeries,
-    /// Prefix sums of the raw series (for `Dist_LB`-style projections).
-    pub sums: PrefixSums,
     /// The query's own reduced representation.
     pub rep: Representation,
-    /// Query-compiled `Dist_PAR` plan (linear representations only).
-    /// `None` disables the planned kernels — search falls back to the
-    /// unplanned reference path with identical results; the equivalence
-    /// proptests strip this field to pin that.
-    pub plan: Option<QueryPlan>,
+    /// Query-compiled `Dist_PAR` plan: `Some` exactly when `rep` is
+    /// linear, compiled once by [`Query::with_scratch`].
+    pub(crate) plan: Option<QueryPlan>,
 }
 
 impl Query {
@@ -60,7 +57,7 @@ impl Query {
     ) -> Result<Query> {
         let rep = reducer.reduce_with_scratch(raw, m, scratch)?;
         let plan = rep.as_linear().map(QueryPlan::new);
-        Ok(Query { raw: raw.clone(), sums: raw.prefix_sums(), rep, plan })
+        Ok(Query { raw: raw.clone(), rep, plan })
     }
 }
 
@@ -86,7 +83,7 @@ pub(crate) fn assert_lb_le_exact(
     slack: f64,
 ) -> Result<()> {
     if let Some(linear) = rep.as_linear() {
-        let lb = sapla_distance::dist_lb(&q.sums, linear)?;
+        let lb = sapla_distance::dist_lb(&q.raw.prefix_sums(), linear)?;
         assert!(
             lb <= exact + slack + 1e-6 * (1.0 + exact),
             "strict-invariants: Dist_LB = {lb} exceeds the exact Euclidean distance {exact} \
@@ -96,7 +93,10 @@ pub(crate) fn assert_lb_le_exact(
     Ok(())
 }
 
-/// The per-method indexing strategy.
+/// The per-method indexing strategy. The traversals make exactly two
+/// query-to-representation calls: the full distance with its
+/// memoisable square ([`Scheme::rep_dist_sq_with`], DBCH node bounds)
+/// and the threshold-aware leaf filter ([`Scheme::rep_dist_pruned`]).
 pub trait Scheme: Send + Sync {
     /// Scheme name (matches the reducer name).
     fn name(&self) -> &'static str;
@@ -109,81 +109,38 @@ pub trait Scheme: Send + Sync {
     fn mindist(&self, q: &Query, rect: &HyperRect) -> Result<f64>;
 
     /// Distance estimate from the query to a candidate's representation
-    /// (the leaf-level filter; `Dist_PAR` for the adaptive methods).
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64>;
-
-    /// [`Scheme::rep_dist`] with a reusable partition buffer. The result
-    /// is **identical** to `rep_dist` — schemes whose distance allocates
-    /// (the adaptive `Dist_PAR`) override this to reuse `scratch` in hot
-    /// multi-query loops; the default ignores it.
-    fn rep_dist_with(
-        &self,
-        q: &Query,
-        rep: &Representation,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<f64> {
-        let _ = scratch;
-        self.rep_dist(q, rep)
-    }
-
-    /// [`Scheme::rep_dist_with`] plus its memoisable squared form.
-    /// Schemes that compute the distance as `sq.sqrt()` over an exact
-    /// squared accumulation return `(sq.sqrt(), Some(sq))` and promise
-    /// that **every** filter decision ([`Scheme::rep_dist_pruned`] /
-    /// [`Scheme::rep_dist_pruned_soa`]) is equivalent to
+    /// (`Dist_PAR` for the adaptive methods), plus its memoisable squared
+    /// form. `scratch` is a reusable partition buffer: the result never
+    /// depends on its contents. Schemes that compute the distance as
+    /// `sq.sqrt()` over an exact squared accumulation return
+    /// `(sq.sqrt(), Some(sq))` and promise that **every**
+    /// [`Scheme::rep_dist_pruned`] decision is equivalent to
     /// `sq.sqrt() <= threshold` with kept value `sq.sqrt()` — that lets
     /// callers cache `sq` per (query, entry) and replay later
     /// evaluations of the same pair bitwise (the DBCH hull memo in
-    /// [`crate::knn`]). The default returns no square, which disables
-    /// such caching.
+    /// [`crate::knn`]). Returning no square disables such caching.
     fn rep_dist_sq_with(
         &self,
         q: &Query,
         rep: &Representation,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<(f64, Option<f64>)> {
-        Ok((self.rep_dist_with(q, rep, scratch)?, None))
-    }
-
-    /// Whether this scheme's leaf refinement can run the query-compiled
-    /// `Dist_PAR` kernels over SoA candidate blocks (when the query
-    /// carries a plan). Trees consult this before taking the
-    /// [`Scheme::rep_dist_pruned_soa`] fast path.
-    fn supports_par_plan(&self) -> bool {
-        false
-    }
+        scratch: &mut ParScratch,
+    ) -> Result<(f64, Option<f64>)>;
 
     /// Threshold-aware leaf filter: `Some(d)` when the candidate passes
     /// (`d <= threshold`, with `d` bitwise equal to
-    /// [`Scheme::rep_dist_with`]'s result), `None` when it is pruned.
-    /// The contract is that `rep_dist_pruned(..).is_some()` agrees
-    /// exactly with `rep_dist_with(..) <= threshold` — schemes may
-    /// early-abandon the distance computation as long as that holds.
+    /// [`Scheme::rep_dist_sq_with`]'s distance), `None` when it is
+    /// pruned. Schemes may early-abandon the distance computation as
+    /// long as the decision agrees exactly with the full comparison.
     /// The default computes the full distance and compares.
     fn rep_dist_pruned(
         &self,
         q: &Query,
         rep: &Representation,
         threshold: f64,
-        scratch: &mut sapla_distance::ParScratch,
+        scratch: &mut ParScratch,
     ) -> Result<Option<f64>> {
-        let d = self.rep_dist_with(q, rep, scratch)?;
+        let (d, _) = self.rep_dist_sq_with(q, rep, scratch)?;
         Ok((d <= threshold).then_some(d))
-    }
-
-    /// [`Scheme::rep_dist_pruned`] over an SoA candidate view from a
-    /// tree's contiguous leaf block. Only called when
-    /// [`Scheme::supports_par_plan`] is true and the query carries a
-    /// plan; the default therefore errors.
-    fn rep_dist_pruned_soa(
-        &self,
-        q: &Query,
-        cand: SoaSegs<'_>,
-        threshold: f64,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<Option<f64>> {
-        let _ = (q, cand, threshold, scratch);
-        Err(Error::UnsupportedRepresentation { operation: "SoA leaf refinement" })
     }
 
     /// Distance between two representations (DBCH hull construction and
@@ -212,6 +169,13 @@ pub fn scheme_for(name: &str) -> Result<Box<dyn Scheme>> {
 
 fn expect_linear(rep: &Representation) -> Result<&sapla_core::PiecewiseLinear> {
     rep.as_linear().ok_or(Error::UnsupportedRepresentation { operation: "linear scheme" })
+}
+
+/// The query's compiled `Dist_PAR` plan. [`Query::with_scratch`]
+/// compiles one for every linear representation, so a missing plan
+/// means the query is not linear.
+fn expect_plan(q: &Query) -> Result<&QueryPlan> {
+    q.plan.as_ref().ok_or(Error::UnsupportedRepresentation { operation: "linear scheme" })
 }
 
 /// Interval distance squared from a point to `[lo, hi]`.
@@ -250,11 +214,12 @@ fn region_mindist(regions: &[(usize, usize, f64, f64)], raw: &[f64]) -> f64 {
 
 /// Scheme for SAPLA/APLA representations.
 ///
-/// When the query carries a [`QueryPlan`], every representation distance
-/// runs the query-compiled kernels (bit-identical results), and the
-/// threshold-aware leaf filter additionally early-abandons the window
-/// accumulation against [`safe_sq_bound`] of the running threshold —
-/// provably decision-identical to the full comparison.
+/// Every representation distance runs the query's compiled
+/// [`QueryPlan`] over the candidate's stored segments (bit-identical to
+/// the streaming `Dist_PAR`), and the threshold-aware leaf filter
+/// additionally early-abandons the window accumulation against
+/// [`safe_sq_bound`] of the running threshold — provably
+/// decision-identical to the full comparison.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdaptiveLinearScheme;
 
@@ -298,41 +263,17 @@ impl Scheme for AdaptiveLinearScheme {
         Ok(region_mindist(&regions, q.raw.values()))
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
-        dist_par(expect_linear(&q.rep)?, expect_linear(rep)?)
-    }
-
-    fn rep_dist_with(
-        &self,
-        q: &Query,
-        rep: &Representation,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<f64> {
-        self.rep_dist_sq_with(q, rep, scratch).map(|(d, _)| d)
-    }
-
-    // `Dist_PAR` is `sq.sqrt()` in every path, the planned filters
-    // decide via `keep_below` (abandon ⟺ full square > bound, by the
-    // monotone ≥ 0 Eq. 12 terms), and the unplanned filter compares
-    // `sq.sqrt() <= threshold` directly — so the square is memoisable
-    // per the trait contract.
+    // `Dist_PAR` is `sq.sqrt()` and the filter decides via `keep_below`
+    // (abandon ⟺ full square > bound, by the monotone ≥ 0 Eq. 12
+    // terms), so the square is memoisable per the trait contract.
     fn rep_dist_sq_with(
         &self,
         q: &Query,
         rep: &Representation,
-        scratch: &mut sapla_distance::ParScratch,
+        scratch: &mut ParScratch,
     ) -> Result<(f64, Option<f64>)> {
-        let cand = expect_linear(rep)?;
-        let sq = match &q.plan {
-            // Planned, no abandoning: bit-identical to the unplanned walk.
-            Some(plan) => dist_par_sq_planned(plan, cand, scratch, f64::INFINITY)?,
-            None => dist_par_sq_with(scratch, expect_linear(&q.rep)?, cand)?,
-        };
+        let sq = dist_par_sq_planned(expect_plan(q)?, expect_linear(rep)?, scratch, f64::INFINITY)?;
         Ok((sq.sqrt(), Some(sq)))
-    }
-
-    fn supports_par_plan(&self) -> bool {
-        true
     }
 
     fn rep_dist_pruned(
@@ -340,29 +281,10 @@ impl Scheme for AdaptiveLinearScheme {
         q: &Query,
         rep: &Representation,
         threshold: f64,
-        scratch: &mut sapla_distance::ParScratch,
+        scratch: &mut ParScratch,
     ) -> Result<Option<f64>> {
-        let Some(plan) = &q.plan else {
-            let d = self.rep_dist_with(q, rep, scratch)?;
-            return Ok((d <= threshold).then_some(d));
-        };
+        let plan = expect_plan(q)?;
         let sq = dist_par_sq_planned(plan, expect_linear(rep)?, scratch, safe_sq_bound(threshold))?;
-        Ok(keep_below(sq, threshold))
-    }
-
-    fn rep_dist_pruned_soa(
-        &self,
-        q: &Query,
-        cand: SoaSegs<'_>,
-        threshold: f64,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<Option<f64>> {
-        let Some(plan) = &q.plan else {
-            return Err(Error::UnsupportedRepresentation {
-                operation: "SoA leaf refinement without a query plan",
-            });
-        };
-        let sq = dist_par_sq_planned_soa(plan, cand, scratch, safe_sq_bound(threshold))?;
         Ok(keep_below(sq, threshold))
     }
 }
@@ -424,8 +346,13 @@ impl Scheme for ApcaScheme {
         Ok(region_mindist(&regions, q.raw.values()))
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
-        rep_distance(&q.rep, rep)
+    fn rep_dist_sq_with(
+        &self,
+        q: &Query,
+        rep: &Representation,
+        _: &mut ParScratch,
+    ) -> Result<(f64, Option<f64>)> {
+        Ok((rep_distance(&q.rep, rep)?, None))
     }
 }
 
@@ -504,8 +431,13 @@ impl Scheme for PlaScheme {
         Ok(sum.sqrt())
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
-        dist_pla(expect_linear(&q.rep)?, expect_linear(rep)?)
+    fn rep_dist_sq_with(
+        &self,
+        q: &Query,
+        rep: &Representation,
+        _: &mut ParScratch,
+    ) -> Result<(f64, Option<f64>)> {
+        Ok((dist_pla(expect_linear(&q.rep)?, expect_linear(rep)?)?, None))
     }
 }
 
@@ -550,7 +482,12 @@ impl Scheme for PaaScheme {
         Ok(sum.sqrt())
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
+    fn rep_dist_sq_with(
+        &self,
+        q: &Query,
+        rep: &Representation,
+        _: &mut ParScratch,
+    ) -> Result<(f64, Option<f64>)> {
         let qcon = q
             .rep
             .as_constant()
@@ -558,7 +495,7 @@ impl Scheme for PaaScheme {
         let ccon = rep
             .as_constant()
             .ok_or(Error::UnsupportedRepresentation { operation: "PAA scheme" })?;
-        dist_paa(qcon, ccon)
+        Ok((dist_paa(qcon, ccon)?, None))
     }
 }
 
@@ -592,8 +529,13 @@ impl Scheme for ChebyScheme {
         Ok(rect.min_sq_dist_point(&qc).sqrt())
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
-        rep_distance(&q.rep, rep)
+    fn rep_dist_sq_with(
+        &self,
+        q: &Query,
+        rep: &Representation,
+        _: &mut ParScratch,
+    ) -> Result<(f64, Option<f64>)> {
+        Ok((rep_distance(&q.rep, rep)?, None))
     }
 }
 
@@ -649,11 +591,16 @@ impl Scheme for SaxScheme {
         Ok((qw.n as f64 / w).sqrt() * sum.sqrt())
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
-        match (&q.rep, rep) {
-            (Representation::Symbolic(a), Representation::Symbolic(b)) => mindist(a, b),
-            _ => Err(Error::UnsupportedRepresentation { operation: "SAX scheme" }),
-        }
+    fn rep_dist_sq_with(
+        &self,
+        q: &Query,
+        rep: &Representation,
+        _: &mut ParScratch,
+    ) -> Result<(f64, Option<f64>)> {
+        let (Representation::Symbolic(a), Representation::Symbolic(b)) = (&q.rep, rep) else {
+            return Err(Error::UnsupportedRepresentation { operation: "SAX scheme" });
+        };
+        Ok((mindist(a, b)?, None))
     }
 }
 
@@ -661,6 +608,10 @@ impl Scheme for SaxScheme {
 mod tests {
     use super::*;
     use sapla_baselines::{all_reducers, Pla};
+
+    fn rep_dist(scheme: &dyn Scheme, q: &Query, rep: &Representation) -> f64 {
+        scheme.rep_dist_sq_with(q, rep, &mut ParScratch::default()).unwrap().0
+    }
 
     fn series(seed: usize) -> TimeSeries {
         TimeSeries::new(
@@ -683,7 +634,7 @@ mod tests {
             let feat = scheme.feature(&rep).unwrap();
             assert!(!feat.is_empty(), "{}", reducer.name());
             let q = Query::new(&qr, reducer.as_ref(), m).unwrap();
-            let d = scheme.rep_dist(&q, &rep).unwrap();
+            let d = rep_dist(scheme.as_ref(), &q, &rep);
             assert!(d.is_finite() && d >= 0.0, "{}", reducer.name());
             let rect = HyperRect::point(&feat);
             let md = scheme.mindist(&q, &rect).unwrap();
@@ -712,7 +663,7 @@ mod tests {
             let q = Query::new(&qr, reducer.as_ref(), m).unwrap();
             let rect = HyperRect::point(&scheme.feature(&rep).unwrap());
             let md = scheme.mindist(&q, &rect).unwrap();
-            let rd = scheme.rep_dist(&q, &rep).unwrap();
+            let rd = rep_dist(scheme.as_ref(), &q, &rep);
             assert!(md <= rd + 1e-6, "{name}: mindist {md} > rep_dist {rd}");
         }
     }
@@ -773,7 +724,7 @@ mod tests {
             let q = Query::new(&q_raw, reducer.as_ref(), m).unwrap();
             let md = scheme.mindist(&q, &rect).unwrap();
             let min_rep =
-                reps.iter().map(|r| scheme.rep_dist(&q, r).unwrap()).fold(f64::INFINITY, f64::min);
+                reps.iter().map(|r| rep_dist(scheme.as_ref(), &q, r)).fold(f64::INFINITY, f64::min);
             // Adaptive schemes bound the *raw* query against reconstruction
             // regions rather than the rep distance, so give them headroom;
             // the equal-length schemes must hold exactly.
@@ -798,12 +749,7 @@ mod tests {
         let rect = HyperRect::point(&scheme.feature(&rep).unwrap());
         let q_near = Query::new(&db, &reducer, 12).unwrap();
         let far_series = TimeSeries::new(db.values().iter().map(|v| v + 5.0).collect()).unwrap();
-        let q_far = Query {
-            raw: far_series.clone(),
-            sums: far_series.prefix_sums(),
-            rep: q_near.rep.clone(),
-            plan: q_near.plan.clone(),
-        };
+        let q_far = Query { raw: far_series, rep: q_near.rep.clone(), plan: q_near.plan.clone() };
         let d_near = scheme.mindist(&q_near, &rect).unwrap();
         let d_far = scheme.mindist(&q_far, &rect).unwrap();
         assert!(d_far > d_near + 1.0, "near {d_near}, far {d_far}");

@@ -6,9 +6,9 @@
 //! Loading therefore costs O(file size): the container is validated
 //! (`SnapshotView::parse`), each arena is reinterpreted in place
 //! (`sapla_store::view`), and the trees are adopted verbatim through
-//! `from_raw_parts` structural validation plus one linear SoA-block
-//! rebuild — no reduction, no O(n log n) insertion build, no per-record
-//! decode loop for the hot coefficient arrays.
+//! `from_raw_parts` structural validation — no reduction, no
+//! O(n log n) insertion build, no per-record decode loop for the hot
+//! coefficient arrays.
 //!
 //! # Arena schema (consumer side of the container)
 //!

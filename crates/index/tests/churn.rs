@@ -7,8 +7,7 @@
 //! full structural contract:
 //!
 //! * `DbchTree::validate` — hulls bitwise-consistent with current
-//!   membership, SoA leaf blocks in sync with their leaves, entry
-//!   bookkeeping sound;
+//!   membership, entry bookkeeping sound;
 //! * membership equals the ground-truth live set;
 //! * full-enumeration kNN (`k = |live|`, so the candidate heap never
 //!   fills and nothing is pruned) is **bit-identical** to a freshly

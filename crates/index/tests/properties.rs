@@ -4,10 +4,11 @@
 use proptest::prelude::*;
 use sapla_baselines::{reduce_batch, reduce_batch_parallel, Paa, Pla, Reducer, SaplaReducer};
 use sapla_core::{Representation, TimeSeries};
+use sapla_distance::{dist_par, ParScratch};
 use sapla_index::scheme::AdaptiveLinearScheme;
 use sapla_index::{
     linear_scan_knn, linear_scan_range, scheme_for, DbchTree, Engine, EngineConfig, NodeDistRule,
-    Query, RTree, SearchStats,
+    Query, RTree, Scheme,
 };
 
 /// Random small database of regime-style series.
@@ -117,37 +118,34 @@ proptest! {
         }
     }
 
-    /// The query-compiled `Dist_PAR` plan, the SoA leaf kernel, and the
-    /// early-abandoning bound change *how* the filter is computed, never
-    /// *what* it answers: with the plan on (planned, abandoning filter)
-    /// and with the plan stripped (the stock re-partitioning path, the
-    /// pre-plan reference), both trees return bit-identical stats —
-    /// retrieved ids, exact distances, and measured counts.
+    /// The query-compiled `Dist_PAR` plan and the early-abandoning bound
+    /// change *how* the leaf filter is computed, never *what* it answers:
+    /// for every candidate, the scheme's distance is bitwise the
+    /// streaming reference `dist_par`, its memoisable square roots to
+    /// the same bits, and at every threshold (including the distance
+    /// itself) the abandoning filter keeps exactly what the reference
+    /// comparison keeps, with the same bits. Whole searches are pinned
+    /// to an independent oracle by the crate's reference proptests.
     #[test]
     fn planned_and_abandoning_searches_are_bit_identical(
         raws in db_strategy(6..25),
-        k in 1usize..6,
+        frac in 0.0f64..2.0,
     ) {
         let reducer = SaplaReducer::new();
         let scheme = AdaptiveLinearScheme;
-        let reps: Vec<Representation> =
-            raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
-        let rtree = RTree::build(&scheme, reps.clone(), 2, 5).unwrap();
-        let dbch = DbchTree::build(&scheme, reps, 2, 5).unwrap();
-        let planned = Query::new(&raws[0], &reducer, 12).unwrap();
-        prop_assert!(planned.plan.is_some(), "SAPLA queries must carry a plan");
-        let mut stock = planned.clone();
-        stock.plan = None;
-        for (path, search) in [
-            ("rtree", Box::new(|q: &Query| rtree.knn(q, k, &scheme, &raws).unwrap())
-                as Box<dyn Fn(&Query) -> SearchStats>),
-            ("dbch", Box::new(|q: &Query| dbch.knn(q, k, &scheme, &raws).unwrap())),
-        ] {
-            let want = search(&stock);
-            let got = search(&planned);
-            prop_assert_eq!(&got, &want, "{}", path);
-            for (gd, wd) in got.distances.iter().zip(&want.distances) {
-                prop_assert!(gd.to_bits() == wd.to_bits(), "{}", path);
+        let q = Query::new(&raws[0], &reducer, 12).unwrap();
+        let q_lin = q.rep.as_linear().unwrap();
+        let mut scratch = ParScratch::default();
+        for raw in &raws {
+            let rep = reducer.reduce(raw, 12).unwrap();
+            let want = dist_par(q_lin, rep.as_linear().unwrap()).unwrap();
+            let (got, sq) = scheme.rep_dist_sq_with(&q, &rep, &mut scratch).unwrap();
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+            prop_assert_eq!(sq.map(|s| s.sqrt().to_bits()), Some(want.to_bits()));
+            for threshold in [want, want * frac, f64::INFINITY] {
+                let kept = scheme.rep_dist_pruned(&q, &rep, threshold, &mut scratch).unwrap();
+                let reference = (want <= threshold).then_some(want.to_bits());
+                prop_assert_eq!(kept.map(f64::to_bits), reference, "threshold {}", threshold);
             }
         }
     }

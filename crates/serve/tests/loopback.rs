@@ -382,6 +382,34 @@ fn malformed_requests_get_error_responses_not_disconnects() {
     server.stop();
 }
 
+/// `k` is client-controlled, so no allocation may be sized by it: a
+/// 20-series daemon answers `k = u32::MAX` with all 20 hits, exactly as
+/// the local engine does, and keeps serving afterwards.
+#[test]
+fn huge_k_returns_every_entry_and_keeps_serving() {
+    let raws = dataset(20);
+    let queries = query_samples(2);
+    let reference = build_engine(&raws, 1, TreeKind::Dbch);
+    let server = Server::start(
+        build_engine(&raws, 1, TreeKind::Dbch),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let k = u32::MAX as usize;
+    let got = client.knn(&queries, k).unwrap();
+    for q in &got.per_query {
+        assert_eq!(q.hits.len(), raws.len());
+    }
+    assert_matches_local(&got, &local_answers(&reference, &queries, k), "k = u32::MAX");
+
+    let after = client.knn(&queries, 3).unwrap();
+    assert_matches_local(&after, &local_answers(&reference, &queries, 3), "after a huge k");
+    server.stop();
+}
+
 #[test]
 fn wire_shutdown_drains_and_stops_the_server() {
     let raws = dataset(20);

@@ -103,8 +103,15 @@ bench-smoke:
     cargo test -q -p sapla-bench --lib --features obs quick_grid_runs_and_serialises
     grep -q '"cold_start"' perf-smoke.json
 
+# The repo benchmark builds against the workspace crates by path from a
+# workspace of its own, so nothing else compiles it: its unit tests,
+# with the lockfile pinned, catch a public-API change that breaks it and
+# a dependency change that would rewrite `perfbench/Cargo.lock`.
+perfbench:
+    cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+
 # The full pre-merge gate.
-ci: tier1 lint audit audit-model-serve obs serve-smoke metrics persist simd-off bench-smoke
+ci: tier1 lint audit audit-model-serve obs serve-smoke metrics persist simd-off bench-smoke perfbench
 
 # Regenerate every paper table/figure (slow; see EXPERIMENTS.md).
 bench:

@@ -4,10 +4,12 @@
 //! `Sapla::reduce_into` with a warmed [`SaplaScratch`] performs **zero**
 //! heap allocations — the contract the heap-driven refinement kernel and
 //! the scratch workspace exist to provide. Kept as its own integration
-//! test binary so no other test's allocations pollute the counter.
+//! test binary so no other test's allocations pollute the counter, and
+//! the counter is per thread: the tests here run concurrently, and the
+//! harness allocates on other threads while a test measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use sapla_core::sapla::{Sapla, SaplaScratch};
 use sapla_core::TimeSeries;
@@ -15,11 +17,24 @@ use sapla_core::TimeSeries;
 /// `System`, but counting every allocation and reallocation.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: allocations during thread teardown, after the slot is
+    // gone, are not any test's measurement.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,12 +43,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -73,11 +88,11 @@ fn warmed_reduce_into_allocates_nothing() {
         }
     }
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = allocs();
     for (series, sapla) in &work {
         sapla.reduce_into(series, &mut scratch, &mut buf).unwrap();
     }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_eq!(
         after - before,
@@ -91,14 +106,11 @@ fn warmed_reduce_into_allocates_nothing() {
 /// compiled, per-candidate evaluation is a fused walk that buffers
 /// nothing and is allocation-free — the property the per-worker scratch
 /// reuse in the parallel k-NN engine depends on.
-/// Exercised through both entry points (stored representation and SoA
-/// view) with the abandon bound both infinite and finite.
+/// Exercised with the abandon bound both infinite and finite.
 #[test]
 fn warmed_planned_dist_par_allocates_nothing() {
     use sapla_core::sapla::Sapla;
-    use sapla_distance::{
-        dist_par_sq_planned, dist_par_sq_planned_soa, safe_sq_bound, ParScratch, QueryPlan, SoaSegs,
-    };
+    use sapla_distance::{dist_par_sq_planned, safe_sq_bound, ParScratch, QueryPlan};
 
     let series: Vec<TimeSeries> = (0..6)
         .map(|i| {
@@ -112,26 +124,12 @@ fn warmed_planned_dist_par_allocates_nothing() {
     let reps: Vec<_> = series.iter().map(|s| sapla.reduce(s).unwrap()).collect();
     let cands: Vec<_> = reps[1..].to_vec();
     let plan = QueryPlan::new(&reps[0]);
-    // Flattened SoA mirror of the candidates, like a leaf block.
-    let flat: Vec<(Vec<f64>, Vec<f64>, Vec<usize>)> = cands
-        .iter()
-        .map(|c| {
-            let segs = c.segments();
-            (
-                segs.iter().map(|s| s.a).collect(),
-                segs.iter().map(|s| s.b).collect(),
-                segs.iter().map(|s| s.r).collect(),
-            )
-        })
-        .collect();
     let mut scratch = ParScratch::default();
 
     let run = |scratch: &mut ParScratch| {
         let mut acc = 0.0f64;
-        for (c, (a, b, r)) in cands.iter().zip(&flat) {
+        for c in &cands {
             acc += dist_par_sq_planned(&plan, c, scratch, f64::INFINITY).unwrap();
-            let view = SoaSegs::new(a, b, r).unwrap();
-            acc += dist_par_sq_planned_soa(&plan, view, scratch, f64::INFINITY).unwrap();
             // Finite abandon bound: tight enough to trigger on some
             // candidates, exercising the sentinel path too.
             acc += dist_par_sq_planned(&plan, c, scratch, safe_sq_bound(4.0)).unwrap();
@@ -144,9 +142,9 @@ fn warmed_planned_dist_par_allocates_nothing() {
     run(&mut scratch);
     run(&mut scratch);
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = allocs();
     run(&mut scratch);
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_eq!(
         after - before,
@@ -182,7 +180,7 @@ fn obs_off_is_free() {
         }
     }
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = allocs();
     for (series, sapla) in &work {
         sapla.reduce_into(series, &mut scratch, &mut buf).unwrap();
     }
@@ -198,7 +196,7 @@ fn obs_off_is_free() {
     let total = sapla_obs::recorder::end(trace);
     sapla_obs::windowed!("zero.alloc.window", 0, 1);
     let clock = sapla_obs::clock::now_ns();
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_eq!(
         after - before,
